@@ -9,7 +9,6 @@ Fraction over the rationals, int64 residues modulo word-sized primes.
 """
 
 from .apolarity import (
-    AnnihilatorSlices,
     FamilyProfile,
     HilbertFunctionRecord,
     TranslatedApolar,
@@ -44,7 +43,6 @@ from .hilbert import (
     VERDICT_DEGENERATE,
     VERDICT_NONSMOOTHABLE,
     analyze,
-    certify_nonsmoothable,
     draw_primes,
     ev_product_matrix,
     fiber_equivalence,
@@ -78,8 +76,6 @@ from .linalg import (
     span,
 )
 from .poly import (
-    RATIONALS,
-    FieldSpec,
     Poly,
     change_of_basis,
     coefficient_vector,
@@ -93,7 +89,6 @@ from .poly import (
     parse_family_template,
     parse_poly,
     poly_from_vector,
-    prime_field,
     specialize_parameter,
     substitute_shift,
     waring_cube,

@@ -317,18 +317,3 @@ def leading_form_check(f: Poly, p: int | None = None) -> bool:
     top_ok = (not top.is_zero()) and top.degree() == 3 and \
         is_nondegenerate_cubic(top, p)
     return (apolar_length(f, p) == 14) == top_ok
-
-
-class AnnihilatorSlices:
-    """Per-degree annihilator slices of one form, computed on demand."""
-
-    def __init__(self, F: Poly, p: int | None = None):
-        _require_form(F)
-        self.F = F
-        self.p = p
-        self._cache: dict[int, linalg.SubspaceBasis] = {}
-
-    def degree(self, r: int) -> linalg.SubspaceBasis:
-        if r not in self._cache:
-            self._cache[r] = ann_degree(self.F, r, self.p)
-        return self._cache[r]

@@ -48,11 +48,22 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return value
+
+
 def _add_common(sub, field_default="fp"):
     sub.add_argument("--field", choices=["fp", "q"], default=field_default,
                      help="prime-field pipeline with cross-checks, or exact "
                           "rationals (default %(default)s)")
-    sub.add_argument("--primes", type=int, default=3, metavar="N",
+    sub.add_argument("--primes", type=_positive_int, default=3, metavar="N",
                      help="number of random working primes (default 3)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for primes and sampling (default 0)")
@@ -113,7 +124,7 @@ def _build_parser() -> _Parser:
 def _cmd_analyze(args) -> int:
     F = parse_poly(args.cubic, "P", args.vars)
     t0 = time.monotonic()
-    report = hilbert.certify_nonsmoothable(
+    report = hilbert.analyze(
         F, n_primes=args.primes, seed=args.seed, field_kind=args.field)
     elapsed = int((time.monotonic() - t0) * 1000)
     print("input: %s" % format_poly(F))

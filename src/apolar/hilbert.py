@@ -345,6 +345,11 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
     integer must agree across them; disagreement raises RuntimeError.
     With ``field_kind="q"`` the exact rational path runs (certificates
     plus Fraction elimination where certificates do not apply).
+
+    The verdict is NonSmoothableCertified exactly when the Hilbert
+    function is (1,6,6,1) and the tangent dimension is 76 (below the
+    84-dimensional smoothable component), Degenerate for cones, and
+    SmoothableBoundary otherwise.
     """
     if F.ring != "P" or F.is_zero() or F.degree() != 3:
         raise ValueError("analysis expects a nonzero cubic form on the P side")
@@ -355,6 +360,8 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
         if primes is None:
             primes = draw_primes(n_primes, seed)
         used = list(primes)
+        if not used:
+            raise ValueError("the fp analysis needs at least one prime")
         results = [_analyze_once(F, p) for p in used]
     else:
         raise ValueError("field_kind must be 'fp' or 'q'")
@@ -370,16 +377,6 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
         verdict = VERDICT_BOUNDARY
     return AnalysisReport(tuple(hf), dim2, perps, tangent, on_e, verdict,
                           "q" if field_kind == "q" else "fp", used)
-
-
-def certify_nonsmoothable(F: Poly, primes: list[int] | None = None,
-                          n_primes: int = 3, seed: int = 0,
-                          field_kind: str = "fp") -> AnalysisReport:
-    """Report whose verdict is NonSmoothableCertified exactly when the
-    Hilbert function is (1,6,6,1) and the tangent dimension is 76 (below
-    the 84-dimensional smoothable component), Degenerate for cones, and
-    SmoothableBoundary otherwise."""
-    return analyze(F, primes, n_primes, seed, field_kind)
 
 
 def fiber_equivalence(F3: Poly, Q: Poly, Q2: Poly, p: int | None = None) -> bool:
@@ -586,9 +583,8 @@ def _unit_matrix(fvec, chart_cols, n, p):
     return unit
 
 
-def pencil_profile(F1: Poly, F2: Poly, chart_cubic, quadric_family=None,
-                   p: int | None = None, seed: int = 0,
-                   verify_chart: bool = True) -> PencilProfile:
+def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
+                   p: int | None = None, seed: int = 0) -> PencilProfile:
     """Interpolated chart determinant along the pencil u*F1 + v*F2 (v = 1).
 
     The 120 x 120 minor of the section-product matrix, with the six
@@ -601,11 +597,14 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic, quadric_family=None,
     itself is never sampled — only the interpolant speaks about it, which
     is the point: the annihilator there may jump.
 
-    With ``verify_chart`` a second usable chart is located automatically
-    and the two root profiles must agree.
+    The family, the nodes and the per-node product matrices are built
+    once; every chart is then evaluated on that shared data.  The profile
+    comes from ``chart_cubic`` when given, else from the first usable
+    cubic monomial.  The first other usable monomial always verifies it:
+    the two root profiles must agree.
 
     Args:
-        chart_cubic: a degree-3 exponent tuple or a monomial Poly.
+        chart_cubic: optional degree-3 exponent tuple or monomial Poly.
         quadric_family: optional explicit list of 15 sections (a, b) read
             as u*a + v*b with constants written (None, q); the family must
             annihilate the pencil identically.  Computed by kernel
@@ -613,19 +612,22 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic, quadric_family=None,
         p: working prime (required; profiles are per-prime objects).
 
     Raises:
-        ValueError: degenerate charts, non-exact unit division, or a
-            family that fails to annihilate the pencil.
+        ValueError: an unusable explicit chart, no usable chart at all,
+            charts that disagree, or a family that does not move or does
+            not annihilate the pencil.
     """
     if p is None:
         raise ValueError("pencil profiles are computed over a prime field")
     n = F1.n
+    chart = None
     if isinstance(chart_cubic, Poly):
         if len(chart_cubic.terms) != 1:
             raise ValueError("chart must be a single cubic monomial")
         chart = next(iter(chart_cubic.terms))
-    else:
+    elif chart_cubic is not None:
         chart = tuple(chart_cubic)
-    if len(chart) != n or sum(chart) != 3 or min(chart) < 0:
+    if chart is not None and (len(chart) != n or sum(chart) != 3
+                              or min(chart) < 0):
         raise ValueError("chart monomial must have degree 3")
     if quadric_family is None:
         family = pencil_family(F1, F2, p)
@@ -674,20 +676,36 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic, quadric_family=None,
         return PencilProfile(chart_expo, p, monic, len(draw) - 1,
                              len(dunit) - 1, roots, len(monic) - 1)
 
-    result = profile_for(chart)
-    if verify_chart:
-        for cand in monomials(n, 3):
-            if cand == chart:
-                continue
-            try:
-                other = profile_for(cand)
-            except ValueError:
-                continue
-            if other.summary() != result.summary():
-                raise ValueError(
-                    "charts disagree on the root profile: %s vs %s"
-                    % (result.summary(), other.summary()))
-            break
+    return _default_chart(profile_for, n, chart)
+
+
+def _default_chart(profile_for, n: int, chart: tuple | None) -> PencilProfile:
+    """One walk over the cubic monomials, in order, on one prime's data.
+
+    ``profile_for`` maps a chart to its profile and raises ValueError for
+    an unusable chart.  The explicit ``chart`` (which must be usable), or
+    else the first usable monomial, gives the profile; the first other
+    usable monomial must agree on the root profile.  A lone usable chart
+    is accepted unverified.
+    """
+    result = None if chart is None else profile_for(chart)
+    for cand in monomials(n, 3):
+        if result is not None and cand == result.chart:
+            continue
+        try:
+            other = profile_for(cand)
+        except ValueError:
+            continue
+        if result is None:
+            result = other
+            continue
+        if other.summary() != result.summary():
+            raise ValueError(
+                "charts disagree on the root profile: %s vs %s"
+                % (result.summary(), other.summary()))
+        return result
+    if result is None:
+        raise ValueError("no usable chart monomial found")
     return result
 
 
@@ -699,7 +717,8 @@ def pencil_report(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     The prime-stable facts (total degree of the normalized determinant and
     the multiplicity at u = 0) must agree across all working primes;
     rational-root multisets are reported per prime, since an irreducible
-    factor may split at one prime and not another.
+    factor may split at one prime and not another.  Without ``chart_cubic``
+    the chart found at the first prime is used at every later one.
     """
     if F1.ring != "P" or F2.ring != "P":
         raise ValueError("pencil endpoints must be P-side cubics")
@@ -707,12 +726,13 @@ def pencil_report(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
         raise ValueError("pencil needs two distinct nonzero endpoints")
     if primes is None:
         primes = draw_primes(n_primes, seed)
-    if chart_cubic is None:
-        chart_cubic = _default_chart(F1, F2, primes[0], quadric_family, seed)
-    profiles = [
-        pencil_profile(F1, F2, chart_cubic, quadric_family, p, seed)
-        for p in primes
-    ]
+    if not primes:
+        raise ValueError("a pencil report needs at least one prime")
+    profiles = []
+    for p in primes:
+        prof = pencil_profile(F1, F2, chart_cubic, quadric_family, p, seed)
+        chart_cubic = prof.chart
+        profiles.append(prof)
     stable = {(prof.total_degree, prof.multiplicity_at_zero)
               for prof in profiles}
     if len(stable) != 1:
@@ -728,16 +748,3 @@ def pencil_report(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
         "roots_by_prime": {prof.p: dict(prof.roots) for prof in profiles},
         "profiles": profiles,
     }
-
-
-def _default_chart(F1, F2, p, quadric_family, seed):
-    """First cubic monomial whose chart unit is usable for this pencil."""
-    n = F1.n
-    for cand in monomials(n, 3):
-        try:
-            pencil_profile(F1, F2, cand, quadric_family, p, seed,
-                           verify_chart=False)
-            return cand
-        except ValueError:
-            continue
-    raise ValueError("no usable chart monomial found")

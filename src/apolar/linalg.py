@@ -251,17 +251,6 @@ def det_bareiss(mat):
     return sign * m[n - 1][n - 1]
 
 
-def minor_det(mat, rows, cols, p: int | None = None):
-    """Determinant of the submatrix on the given row and column index sets."""
-    rows, cols = list(rows), list(cols)
-    if len(rows) != len(cols):
-        raise ValueError("minor must be square")
-    sub = [[mat[i][j] for j in cols] for i in rows]
-    if p is None:
-        return det_bareiss(sub)
-    return det_fp(sub, p)
-
-
 # -- subspaces ------------------------------------------------------------
 
 

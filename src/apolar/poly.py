@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -53,37 +52,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Coefficient field selector: the rationals, or a prime field F_p.
-
-    The prime must exceed 3; the determinantal identities this package
-    reproduces are stated away from characteristics 2 and 3.
-    """
-
-    kind: str  # "rationals" or "prime"
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("rationals", "prime"):
-            raise ValueError("field kind must be 'rationals' or 'prime'")
-        if self.kind == "prime":
-            p = self.modulus
-            if p is None or not is_prime(p):
-                raise ValueError("modulus %r is not prime" % (self.modulus,))
-            if p <= 3:
-                raise ValueError("prime fields must have p > 3")
-        elif self.modulus is not None:
-            raise ValueError("rationals take no modulus")
-
-
-RATIONALS = FieldSpec("rationals")
-
-
-def prime_field(p: int) -> FieldSpec:
-    return FieldSpec("prime", p)
 
 
 @lru_cache(maxsize=None)

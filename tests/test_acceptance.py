@@ -135,8 +135,7 @@ def test_criterion_02_pencil_determinant_both_charts():
 
     for p in draw_primes(3, seed=2):
         for chart in charts:
-            prof = pencil_profile(F1, F2, chart, family, p,
-                                  verify_chart=False)
+            prof = pencil_profile(F1, F2, chart, family, p)
             assert prof.determinant == [0] * 10 + [1]
             assert prof.total_degree == 10
             assert prof.multiplicity_at_zero == 10

@@ -104,6 +104,27 @@ def test_pencil_identical_endpoints(capsys):
     assert "distinct" in err
 
 
+def test_pencil_that_does_not_move(capsys):
+    # proportional endpoints share every quadric; the default-chart path
+    # reports the family error, as the explicit-chart path does
+    for extra in ([], ["--chart", "x5^3"]):
+        code, _, err = _run(capsys, "pencil", "--f1", "x5^3",
+                            "--f2", "2*x5^3", *extra)
+        assert code == 3
+        assert "pencil family has 20 constants + 0 movers" in err
+
+
+def test_primes_below_one_is_a_usage_error(capsys):
+    for count in ("0", "-1"):
+        code, _, err = _run(capsys, "analyze", FIXTURE, "--primes", count)
+        assert code == 64
+        assert "--primes" in err
+        code, _, err = _run(capsys, "pencil", "--f1", FIXTURE, "--f2", "x5^3",
+                            "--primes", count)
+        assert code == 64
+        assert "--primes" in err
+
+
 def test_construct_sum_cubes(capsys):
     code, out, _ = _run(capsys, "construct", "sum-cubes", "--json", "-")
     assert code == 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from apolar import linalg
+from apolar import hilbert, linalg
 from apolar.apolarity import ann_degree
 from apolar.constructions import (
     fiber_point,
@@ -18,7 +18,6 @@ from apolar.hilbert import (
     VERDICT_DEGENERATE,
     VERDICT_NONSMOOTHABLE,
     analyze,
-    certify_nonsmoothable,
     draw_primes,
     ev_product_matrix,
     fiber_equivalence,
@@ -169,7 +168,7 @@ def test_analyze_degenerate_and_boundary():
     rep = analyze(_cube(), n_primes=2, seed=0)
     assert rep.verdict == VERDICT_DEGENERATE
     assert rep.tangent_dim is None
-    rep2 = certify_nonsmoothable(sum_of_cubes(), n_primes=2, seed=0)
+    rep2 = analyze(sum_of_cubes(), n_primes=2, seed=0)
     assert rep2.verdict == VERDICT_BOUNDARY
     assert rep2.on_E is True
 
@@ -187,6 +186,13 @@ def test_analyze_rejects_non_cubics():
         analyze(parse_poly("x0^2", "P", 6))
     with pytest.raises(ValueError):
         analyze(_fixture(), field_kind="float")
+
+
+def test_analyze_rejects_empty_prime_list():
+    with pytest.raises(ValueError):
+        analyze(_fixture(), primes=[])
+    with pytest.raises(ValueError):
+        analyze(_fixture(), n_primes=0)
 
 
 def test_fiber_equivalence_reflexive_and_shifted():
@@ -277,6 +283,42 @@ def test_pencil_report_rejects_identical_endpoints():
         pencil_report(_cube(), _cube())
     with pytest.raises(ValueError):
         pencil_report(_cube(), Poly.zero("P", 6))
+
+
+def test_pencil_report_rejects_empty_prime_list():
+    with pytest.raises(ValueError):
+        pencil_report(_fixture(), _cube(), primes=[])
+    with pytest.raises(ValueError):
+        pencil_report(_fixture(), _cube(), n_primes=0)
+
+
+def test_pencil_report_builds_node_data_once_per_prime(monkeypatch):
+    calls = {"pencil_family": 0, "_collect_node_data": 0}
+    for name in calls:
+        orig = getattr(hilbert, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(hilbert, name, counted)
+    out = pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
+    assert calls == {"pencil_family": 3, "_collect_node_data": 3}
+    # the default chart gives the same report as that chart given explicitly
+    explicit = pencil_report(_fixture(), _cube(), tuple(out["chart"]),
+                             n_primes=3, seed=0)
+    assert explicit["chart"] == out["chart"]
+    assert explicit["roots_by_prime"] == out["roots_by_prime"]
+    assert [prof.determinant for prof in explicit["profiles"]] == \
+        [prof.determinant for prof in out["profiles"]]
+
+
+def test_chart_search_without_usable_chart():
+    def unusable(chart):
+        raise ValueError("chart minor identically zero (degenerate chart)")
+
+    with pytest.raises(ValueError, match="no usable chart monomial found"):
+        hilbert._default_chart(unusable, 6, None)
 
 
 def test_pencil_of_two_generic_cubics_misses_zero():
