@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,16 +53,31 @@ VERDICT_BOUNDARY = "SmoothableBoundary"
 VERDICT_DEGENERATE = "Degenerate"
 
 
-def _largest_prime_below_2_26() -> int:
-    n = (1 << 26) - 1
-    while not is_prime(n):
-        n -= 2
-    return n
+def _primes_below_2_26():
+    q = (1 << 26) - 1
+    while True:
+        if is_prime(q):
+            yield q
+        q -= 2
 
 
-# fixed internal prime used only for one-sided certificates on the rational
-# path: full rank mod p proves full rank over Q, never the other way round
-_CERT_PRIME = _largest_prime_below_2_26()
+# first candidate prime for one-sided certificates on the rational path:
+# full rank mod p proves full rank over Q, never the other way round
+_CERT_PRIME = next(_primes_below_2_26())
+
+
+def _cert_prime(F: Poly) -> int:
+    """The first prime below 2^26 (``_CERT_PRIME`` unless F forbids it) at
+    which F reduces to a nondegenerate cubic.
+
+    The certificates are sound only where the Hilbert function does not
+    drop under reduction, which for a cubic is exactly nondegeneracy mod q;
+    a prime dividing a denominator of F has no reduction at all.
+    """
+    for q in _primes_below_2_26():
+        if (all(Fraction(c).denominator % q for c in F.terms.values())
+                and is_nondegenerate_cubic(F, q)):
+            return q
 
 
 def draw_primes(n_primes: int, seed: int) -> list[int]:
@@ -115,16 +131,23 @@ def _degree_pairs(d: int) -> list[tuple[int, int]]:
 
 def square_perp_basis(F: Poly, d: int, p: int | None = None,
                       slices: dict | None = None) -> linalg.SubspaceBasis:
-    """Basis of the degree-d perp of the squared annihilator ideal.
+    """Canonical (RREF) basis of the degree-d perp of the squared
+    annihilator ideal.
 
     Computed by intersecting kernels block by block (one block per basis
     operator of the lower factor), which keeps the working set small even
     in degree 7 where the full product matrix would have ~10^4 rows.
+    ``slices`` caches the annihilator slices of F over the same field
+    across calls.
 
-    Over the rationals, a full-rank certificate mod a fixed internal prime
-    settles the frequent perp-is-zero case rigorously (rank can only drop
-    under reduction); otherwise exact Fraction elimination runs, which is
-    slow in degrees 6 and 7.
+    Over the rationals the perp is first computed once modulo a
+    certificate prime at which F stays nondegenerate; reduction can only
+    enlarge a perp, so that dimension bounds the rational one from above.
+    A zero perp mod p is then the rational answer.  In degree 4 a mod-p
+    dimension of 6 is met by the six vectors x_i (dp-times) F, checked
+    exactly to lie in the perp and to be independent, so their span is the
+    perp.  Otherwise exact Fraction elimination runs, which is slow in
+    degrees 6 and 7.
     """
     if not is_nondegenerate_cubic(F, p):
         raise ValueError("squared-ideal analysis needs a nondegenerate cubic")
@@ -140,8 +163,6 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
         return slices[r]
 
     if p is None:
-        if square_perp_basis(F, d, _CERT_PRIME).dim == 0:
-            return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
         return _square_perp_basis_q(F, d, slice_basis, n, dim_d)
 
     basis: np.ndarray | None = None
@@ -164,6 +185,19 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
 
 
 def _square_perp_basis_q(F, d, slice_basis, n, dim_d):
+    mod_dim = square_perp_basis(F, d, _cert_prime(F)).dim
+    if mod_dim == 0:
+        return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
+    if d == 4 and mod_dim == n:
+        prods = ev_product_matrix(
+            [poly_from_vector(r, "S", n, 2) for r in slice_basis(2).rows], F)
+        witness = [coefficient_vector(dp_mul(Poly.variable("P", n, i), F), 4)
+                   for i in range(n)]
+        annihilated = all(
+            sum(rc * wc for rc, wc in zip(row, wit)) == 0
+            for row in prods for wit in witness)
+        if annihilated and linalg.rank_q(witness) == n:
+            return linalg.span(witness, "P", d, n, dim_d)
     rows_all: list = []
     for a, b in _degree_pairs(d):
         A = slice_basis(a)
@@ -184,62 +218,27 @@ def square_ideal_degree(F: Poly, d: int, p: int | None = None) -> linalg.Subspac
 
 
 def perp_dimensions(F: Poly, p: int | None = None) -> dict[int, int]:
-    """Dimensions of the degree-4..7 perps of the squared ideal.
+    """Dimensions of the degree-4..7 perps of the squared ideal, mod p or
+    over Q (certified as described on :func:`square_perp_basis`).
 
     Once a degree comes out zero every higher degree is zero too (the
     squared ideal is an ideal, so multiplying a full graded piece by the
     linear operators keeps it full); degrees past the first zero are not
-    recomputed.
+    recomputed.  The annihilator slices are shared across degrees.
     """
     slices: dict = {}
     out: dict[int, int] = {}
     for d in (4, 5, 6, 7):
         if out and out[d - 1] == 0:
             out[d] = 0
-            continue
-        if p is None:
-            out[d] = _perp_dim_q(F, d, slices)
         else:
             out[d] = square_perp_basis(F, d, p, slices).dim
     return out
 
 
-def _perp_dim_q(F: Poly, d: int, slices: dict) -> int:
-    """Rational perp dimension with one-sided certificates.
-
-    Full rank mod the fixed certificate prime proves a zero perp over Q.
-    For d = 4, corank 6 mod p plus an exact rational check that the six
-    vectors x_i (dp-times) F are independent members of the perp pins the
-    value 6 without any large rational elimination.
-    """
-    n = F.n
-
-    def slice_basis(r: int):
-        if r not in slices:
-            slices[r] = ann_degree(F, r, None)
-        return slices[r]
-
-    mod_dim = square_perp_basis(F, d, _CERT_PRIME).dim
-    if mod_dim == 0:
-        return 0
-    if d == 4 and mod_dim == 6:
-        prods = ev_product_matrix(
-            [poly_from_vector(r, "S", n, 2) for r in slice_basis(2).rows], F)
-        witness = [coefficient_vector(dp_mul(Poly.variable("P", n, i), F), 4)
-                   for i in range(n)]
-        annihilated = all(
-            sum(rc * wc for rc, wc in zip(row, wit)) == 0
-            for row in prods for wit in witness)
-        if annihilated and linalg.rank_q(witness) == n:
-            return 6
-    return square_perp_basis(F, d, None, slices).dim
-
-
 def perp4_dim(F: Poly, p: int | None = None) -> int:
     """Dimension of the degree-4 perp of the squared ideal (6 generically,
     larger exactly on the divisor E)."""
-    if p is None:
-        return _perp_dim_q(F, 4, {})
     return square_perp_basis(F, 4, p).dim
 
 
@@ -327,13 +326,13 @@ class AnalysisReport:
 
 
 def _analyze_once(F: Poly, p: int | None):
-    hf = hilbert_function(F, p)
-    dim2 = ann_degree(F, 2, p).dim
-    if not is_nondegenerate_cubic(F, p):
-        return hf.values, dim2, {}, None, None
+    hf = hilbert_function(F, p).values
+    dim2 = dim_degree(F.n, 2) - hf[2]
+    if hf[1] != F.n:
+        return hf, dim2, {}, None, None
     perps = perp_dimensions(F, p)
     tangent = 70 + sum(perps.values())
-    return hf.values, dim2, perps, tangent, perps[4] > 6
+    return hf, dim2, perps, tangent, perps[4] > 6
 
 
 def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
@@ -600,8 +599,8 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     The family, the nodes and the per-node product matrices are built
     once; every chart is then evaluated on that shared data.  The profile
     comes from ``chart_cubic`` when given, else from the first usable
-    cubic monomial.  The first other usable monomial always verifies it:
-    the two root profiles must agree.
+    cubic monomial.  The first usable monomial after it, in cyclic
+    monomial order, verifies it: the two root profiles must agree.
 
     Args:
         chart_cubic: optional degree-3 exponent tuple or monomial Poly.
@@ -680,16 +679,22 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
 
 
 def _default_chart(profile_for, n: int, chart: tuple | None) -> PencilProfile:
-    """One walk over the cubic monomials, in order, on one prime's data.
+    """One walk over the cubic monomials, in cyclic order, on one prime's
+    data.
 
     ``profile_for`` maps a chart to its profile and raises ValueError for
     an unusable chart.  The explicit ``chart`` (which must be usable), or
     else the first usable monomial, gives the profile; the first other
-    usable monomial must agree on the root profile.  A lone usable chart
-    is accepted unverified.
+    usable monomial must agree on the root profile.  The walk starts just
+    after an explicit chart, so a chart carried over from an earlier prime
+    is verified by the monomial that verified it there, without first
+    retrying the unusable ones before it.  A lone usable chart is accepted
+    unverified.
     """
+    monos = monomials(n, 3)
+    start = 0 if chart is None else monos.index(chart) + 1
     result = None if chart is None else profile_for(chart)
-    for cand in monomials(n, 3):
+    for cand in monos[start:] + monos[:start]:
         if result is not None and cand == result.chart:
             continue
         try:

@@ -496,13 +496,7 @@ def squarefree_decomposition_fp(coeffs: list, p: int) -> dict[int, list[int]]:
 
 
 def _poly_mulmod_fp(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return poly_divmod_fp(out, mod, p)[1]
+    return poly_divmod_fp(poly_mul_fp(a, b, p), mod, p)[1]
 
 
 def _poly_powmod_fp(base, e, mod, p):

@@ -511,26 +511,6 @@ def graded_parts(f: Poly) -> list[Poly]:
     return [Poly(f.ring, f.n, buckets[d]) for d in sorted(buckets)]
 
 
-def _det_fraction(rows: list[list[Scalar]]) -> Scalar:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
 def change_of_basis(F: Poly, g) -> Poly:
     """Apply an invertible linear change of variables to a P polynomial.
 
@@ -549,7 +529,9 @@ def change_of_basis(F: Poly, g) -> Poly:
     rows = [list(r) for r in g]
     if len(rows) != F.n or any(len(r) != F.n for r in rows):
         raise ValueError("matrix must be %d x %d" % (F.n, F.n))
-    if _det_fraction(rows) == 0:
+    from .linalg import det_bareiss  # linalg imports this module
+
+    if det_bareiss(rows) == 0:
         raise ValueError("singular change of basis")
     cols = [[rows[j][i] for j in range(F.n)] for i in range(F.n)]
     out = Poly.zero("P", F.n)

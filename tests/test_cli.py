@@ -57,6 +57,19 @@ def test_analyze_rational_field(capsys):
     assert "tangent dimension: 76" in out
 
 
+def test_analyze_rational_field_picks_a_certificate_prime(capsys):
+    # 67108859, the largest prime below 2^26, divides a denominator of the
+    # first cubic and makes the second one degenerate; both are valid
+    # nondegenerate cubics over Q, off the divisor
+    for cubic in (
+            "1/67108859*x0*x1*x3 - x0*x4^2 + x1*x2^2 + x2*x4*x5 + x3*x5^2",
+            "67108859*x0*x1*x3 - 67108859*x0*x4^2 + x1*x2^2 + x2*x4*x5"
+            " + x3*x5^2"):
+        code, out, _ = _run(capsys, "analyze", cubic, "--field", "q")
+        assert code == 0
+        assert "perp dims: 4 -> 6, 5 -> 0, 6 -> 0, 7 -> 0" in out
+
+
 def test_analyze_json_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     _run(capsys, "analyze", FIXTURE, "--primes", "2", "--seed", "3",

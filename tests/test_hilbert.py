@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar import hilbert, linalg
 from apolar.apolarity import ann_degree
@@ -70,6 +71,34 @@ def test_square_perp_dims_fixture_mod_p():
 def test_square_perp_dims_fixture_rational():
     F = _fixture()
     assert perp_dimensions(F) == {4: 6, 5: 0, 6: 0, 7: 0}
+
+
+def test_rational_perp4_runs_one_certificate_prime_perp(monkeypatch):
+    primes = []
+    orig = hilbert.square_perp_basis
+
+    def counted(F, d, p=None, slices=None):
+        primes.append(p)
+        return orig(F, d, p, slices)
+
+    monkeypatch.setattr(hilbert, "square_perp_basis", counted)
+    assert perp4_dim(sum_of_cubes()) == 36
+    assert primes == [None, hilbert._CERT_PRIME]
+
+
+def test_rational_perp4_witness_basis_is_canonical():
+    F = _fixture()
+    quadrics = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2).rows]
+    assert square_perp_basis(F, 4).rows == \
+        linalg.kernel_q(ev_product_matrix(quadrics, F))
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), prime_seed=st.integers(0, 10 ** 6))
+def test_rational_perp_dims_match_a_prime(seed, prime_seed):
+    F = random_cubic(seed)
+    p = draw_primes(1, prime_seed)[0]
+    assert perp_dimensions(F) == perp_dimensions(F, p)
 
 
 def test_square_ideal_degree_complements_perp():
@@ -311,6 +340,26 @@ def test_pencil_report_builds_node_data_once_per_prime(monkeypatch):
     assert explicit["roots_by_prime"] == out["roots_by_prime"]
     assert [prof.determinant for prof in explicit["profiles"]] == \
         [prof.determinant for prof in out["profiles"]]
+
+
+def test_chart_walk_resumes_after_the_carried_chart(monkeypatch):
+    # the first prime walks from the first monomial; later primes start
+    # just after the carried chart and so skip the unusable ones before it
+    evaluations = []
+    orig = hilbert._default_chart
+
+    def counted(profile_for, n, chart):
+        evaluations.append(0)
+
+        def counting(cand):
+            evaluations[-1] += 1
+            return profile_for(cand)
+
+        return orig(counting, n, chart)
+
+    monkeypatch.setattr(hilbert, "_default_chart", counted)
+    pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
+    assert evaluations == [19, 11, 11]
 
 
 def test_chart_search_without_usable_chart():
