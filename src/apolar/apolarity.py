@@ -6,13 +6,13 @@ Hilbert function value h(r) of the quotient algebra, its left kernel is the
 degree-r slice of the annihilator ideal, and the row span is the
 coordinate complement of the degree-(d-r) annihilator slice (the pairing of
 monomial bases is diagonal).  Everything here is exact: Fractions over the
-rationals, int64 residues when a prime is supplied.
+rationals, int64 residues when a prime is supplied; :mod:`linalg` picks
+the field from ``p``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -60,20 +60,15 @@ def catalecticant(F: Poly, r: int, p: int | None = None):
 
     Rows are indexed by the degree-r operator monomials, columns by the
     degree-(d-r) polynomial monomials; the entry is the coefficient of F at
-    the product exponent.  Over a prime field a numpy array is returned,
-    over the rationals a list of rows.
+    the product exponent.  The result is a working array of
+    :func:`linalg.field_array`: int64 residues mod p, Fractions over Q.
     """
     _require_form(F)
     d = 0 if F.is_zero() else F.degree()
     if r < 0 or r > d:
         raise ValueError("catalecticant index %d out of range 0..%d" % (r, d))
-    table = shift_table(F.n, r, d - r)
-    vec = coefficient_vector(F, d)
-    if p is not None:
-        arr = linalg.to_fp_matrix([vec], p)[0]
-        return arr[table]
-    return [[vec[table[i, j]] for j in range(table.shape[1])]
-            for i in range(table.shape[0])]
+    vec = linalg.field_array([coefficient_vector(F, d)], p)[0]
+    return vec[shift_table(F.n, r, d - r)]
 
 
 def ann_degree(F: Poly, r: int, p: int | None = None) -> linalg.SubspaceBasis:
@@ -88,13 +83,7 @@ def ann_degree(F: Poly, r: int, p: int | None = None) -> linalg.SubspaceBasis:
     if F.is_zero() or r > d:
         eye = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
         return linalg.SubspaceBasis("S", r, n, ncols, p, eye)
-    cat = catalecticant(F, r, p)
-    if p is not None:
-        rows = [list(map(int, v)) for v in linalg.kernel_fp(cat.T, p)]
-    else:
-        transposed = [[cat[i][j] for i in range(len(cat))]
-                      for j in range(len(cat[0]))]
-        rows = linalg.kernel_q(transposed)
+    rows = linalg.kernel(catalecticant(F, r, p).T, p)
     return linalg.SubspaceBasis("S", r, n, ncols, p, rows)
 
 
@@ -126,12 +115,8 @@ def hilbert_function(F: Poly, p: int | None = None) -> HilbertFunctionRecord:
     if F.is_zero():
         return HilbertFunctionRecord((0,))
     d = F.degree()
-    vals = []
-    for r in range(d + 1):
-        cat = catalecticant(F, r, p)
-        rank = linalg.rank_fp(cat, p) if p is not None else linalg.rank_q(cat)
-        vals.append(rank)
-    return HilbertFunctionRecord(tuple(vals))
+    return HilbertFunctionRecord(tuple(
+        linalg.rank(catalecticant(F, r, p), p) for r in range(d + 1)))
 
 
 def is_nondegenerate_cubic(F: Poly, p: int | None = None) -> bool:
@@ -140,9 +125,7 @@ def is_nondegenerate_cubic(F: Poly, p: int | None = None) -> bool:
     if F.is_zero() or F.degree() != 3:
         return False
     _require_form(F, 3)
-    cat = catalecticant(F, 1, p)
-    rank = linalg.rank_fp(cat, p) if p is not None else linalg.rank_q(cat)
-    return rank == F.n
+    return linalg.rank(catalecticant(F, 1, p), p) == F.n
 
 
 @lru_cache(maxsize=None)
@@ -165,6 +148,19 @@ def _le_vector(f: Poly, dmax: int) -> list[Scalar]:
     return vec
 
 
+def _contraction_rows(f: Poly) -> list[list[Scalar]]:
+    """Coefficient rows, on the monomials of degrees 0..3, of the nonzero
+    contractions of f by the operator monomials of degree at most 3; they
+    span the contraction module S ∘ f of a polynomial of degree <= 3."""
+    rows = []
+    for r in range(4):
+        for se in monomials(f.n, r):
+            g = contract(Poly.monomial("S", f.n, se), f)
+            if not g.is_zero():
+                rows.append(_le_vector(g, 3))
+    return rows
+
+
 def apolar_length(f: Poly, p: int | None = None) -> int:
     """Dimension of the contraction module S ∘ f for a polynomial of degree
     at most 3 (the constant operator is included, so f itself is in the
@@ -175,15 +171,7 @@ def apolar_length(f: Poly, p: int | None = None) -> int:
         return 0
     if f.degree() > 3:
         raise ValueError("apolar_length expects degree <= 3")
-    rows = []
-    for r in range(4):
-        for se in monomials(f.n, r):
-            g = contract(Poly.monomial("S", f.n, se), f)
-            if not g.is_zero():
-                rows.append(_le_vector(g, 3))
-    if p is not None:
-        return linalg.rank_fp(rows, p)
-    return linalg.rank_q(rows)
+    return linalg.rank(_contraction_rows(f), p)
 
 
 def scheme_length(f: Poly, p: int | None = None) -> int:
@@ -223,10 +211,7 @@ def dual_socle_generator(quadrics: list[Poly], n_vars: int = 6,
                 if c:
                     row[table[si, tau]] += c
             rows.append(row)
-    if p is not None:
-        kern = [list(map(int, r)) for r in linalg.kernel_fp(rows, p)]
-    else:
-        kern = linalg.kernel_q(rows)
+    kern = linalg.kernel(rows, p)
     if len(kern) != 1:
         raise ValueError(
             "common cubic perp has dimension %d, expected 1" % len(kern))
@@ -260,12 +245,7 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
             sigma = Poly.monomial("S", f.n, se)
             rows.append(_le_vector(contract(sigma, f), 3))
     # operator-coefficient combinations live in the left kernel
-    cols = [[rows[i][j] for i in range(len(rows))]
-            for j in range(len(rows[0]))]
-    if p is not None:
-        kern = [list(map(int, r)) for r in linalg.kernel_fp(cols, p)]
-    else:
-        kern = linalg.kernel_q(cols)
+    kern = linalg.kernel(list(zip(*rows)), p)
     gens = []
     offs, _ = _le_offsets(f.n, 4)
     for vec in kern:

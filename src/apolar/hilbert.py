@@ -29,6 +29,7 @@ import numpy as np
 from . import linalg
 from .linalg import seeded_rng
 from .apolarity import (
+    _contraction_rows,
     ann_degree,
     catalecticant,
     hilbert_function,
@@ -66,6 +67,13 @@ def _primes_below_2_26():
 _CERT_PRIME = next(_primes_below_2_26())
 
 
+def _reduces_mod(q: int, forms) -> bool:
+    """Whether every form has a reduction mod q, i.e. q divides none of
+    their coefficient denominators."""
+    return all(Fraction(c).denominator % q
+               for f in forms for c in f.terms.values())
+
+
 def _cert_prime(F: Poly) -> int:
     """The first prime below 2^26 (``_CERT_PRIME`` unless F forbids it) at
     which F reduces to a nondegenerate cubic.
@@ -75,17 +83,23 @@ def _cert_prime(F: Poly) -> int:
     a prime dividing a denominator of F has no reduction at all.
     """
     for q in _primes_below_2_26():
-        if (all(Fraction(c).denominator % q for c in F.terms.values())
-                and is_nondegenerate_cubic(F, q)):
+        if _reduces_mod(q, [F]) and is_nondegenerate_cubic(F, q):
             return q
 
 
-def draw_primes(n_primes: int, seed: int) -> list[int]:
-    """Distinct random working primes, reproducible from the seed."""
+def draw_primes(n_primes: int, seed: int, *forms: Poly) -> list[int]:
+    """Distinct random working primes, reproducible from the seed.
+
+    A drawn prime that divides a coefficient denominator of one of the
+    ``forms`` is skipped and the next one drawn from the same stream, so
+    forms without denominators get the primes the seed alone gives.
+    """
     rng = seeded_rng(seed, "primes")
     chosen: set[int] = set()
     while len(chosen) < n_primes:
-        chosen.add(linalg.random_prime(rng))
+        q = linalg.random_prime(rng)
+        if _reduces_mod(q, forms):
+            chosen.add(q)
     return sorted(chosen)
 
 
@@ -94,51 +108,80 @@ def draw_primes(n_primes: int, seed: int) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def _product_block(pvec, a: int, b: int, basis_b, n: int, p: int | None):
+def _product_block(pvec: np.ndarray, a: int, b: int, basis_b, n: int):
     """Rows spanning pvec * I_b inside degree a+b, for one fixed operator.
 
-    ``basis_b`` is None when I_b is the full S_b, else a basis matrix.
+    ``pvec`` is a row of a working array (:func:`linalg.field_array`) and
+    ``basis_b`` a working array of a basis of I_b, or None when I_b is the
+    full S_b.  Each nonzero coefficient c of pvec adds c * basis_b into the
+    columns of the products with its monomial; one body serves both fields.
+    Residues are left unreduced (at most 56 terms below 2^52 each, so they
+    stay inside int64); every consumer reduces them mod p.
     """
-    dim_b = dim_degree(n, b)
-    dim_d = dim_degree(n, a + b)
     table = shift_table(n, a, b)
-    if p is not None:
-        block = np.zeros((dim_b, dim_d), dtype=np.int64)
-        ar = np.arange(dim_b)
-        for si, c in enumerate(pvec):
-            if c:
-                block[ar, table[si]] = (block[ar, table[si]] + int(c)) % p
-        if basis_b is not None:
-            block = linalg.matmul_fp(basis_b, block, p)
-        return block
-    rows = [[0] * dim_d for _ in range(dim_b)]
-    for si, c in enumerate(pvec):
-        if c:
-            for t in range(dim_b):
-                rows[t][table[si, t]] += c
-    if basis_b is not None:
-        rows = [
-            [sum(bq * rows[t][m] for t, bq in enumerate(brow) if bq)
-             for m in range(dim_d)]
-            for brow in basis_b
-        ]
-    return rows
+    nrows = table.shape[1] if basis_b is None else basis_b.shape[0]
+    block = np.zeros((nrows, dim_degree(n, a + b)), dtype=pvec.dtype)
+    for si in np.flatnonzero(pvec):
+        if basis_b is None:
+            block[np.arange(nrows), table[si]] += pvec[si]
+        else:
+            block[:, table[si]] += pvec[si] * basis_b
+    return block
 
 
 def _degree_pairs(d: int) -> list[tuple[int, int]]:
     return [(a, d - a) for a in range(2, d - 1) if a <= d - a]
 
 
+def _product_blocks(d: int, slices):
+    """The product blocks spanning (I^2)_d, one per basis operator of the
+    lower factor, in the field of ``slices``."""
+    n = slices.F.n
+    for a, b in _degree_pairs(d):
+        B = slices(b)
+        basis_b = None if B.dim == dim_degree(n, b) else \
+            linalg.field_array(B.rows, slices.p)
+        for pvec in linalg.field_array(slices(a).rows, slices.p):
+            yield _product_block(pvec, a, b, basis_b, n)
+
+
+@dataclass
+class _Slices:
+    """Annihilator slices of one cubic over one field, each computed once.
+
+    Made by :func:`_checked_slices` only after the cubic was found
+    nondegenerate over that field; over Q, ``cert`` holds the slices at
+    the certificate prime.
+    """
+
+    F: Poly
+    p: int | None
+    cert: "_Slices | None" = None
+    cache: dict = field(default_factory=dict)
+
+    def __call__(self, r: int) -> linalg.SubspaceBasis:
+        if r not in self.cache:
+            self.cache[r] = ann_degree(self.F, r, self.p)
+        return self.cache[r]
+
+
+def _checked_slices(F: Poly, p: int | None) -> _Slices:
+    if not is_nondegenerate_cubic(F, p):
+        raise ValueError("squared-ideal analysis needs a nondegenerate cubic")
+    cert = None if p is not None else _Slices(F, _cert_prime(F))
+    return _Slices(F, p, cert)
+
+
 def square_perp_basis(F: Poly, d: int, p: int | None = None,
-                      slices: dict | None = None) -> linalg.SubspaceBasis:
+                      slices: _Slices | None = None) -> linalg.SubspaceBasis:
     """Canonical (RREF) basis of the degree-d perp of the squared
     annihilator ideal.
 
     Computed by intersecting kernels block by block (one block per basis
     operator of the lower factor), which keeps the working set small even
     in degree 7 where the full product matrix would have ~10^4 rows.
-    ``slices`` caches the annihilator slices of F over the same field
-    across calls.
+    ``slices`` carries the annihilator slices of F over the same field
+    across calls (and F's nondegeneracy check with them).
 
     Over the rationals the perp is first computed once modulo a
     certificate prime at which F stays nondegenerate; reduction can only
@@ -146,51 +189,32 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     A zero perp mod p is then the rational answer.  In degree 4 a mod-p
     dimension of 6 is met by the six vectors x_i (dp-times) F, checked
     exactly to lie in the perp and to be independent, so their span is the
-    perp.  Otherwise exact Fraction elimination runs, which is slow in
-    degrees 6 and 7.
+    perp.  Otherwise exact Fraction elimination of the stacked product
+    blocks runs, which is slow in degrees 6 and 7.
     """
-    if not is_nondegenerate_cubic(F, p):
-        raise ValueError("squared-ideal analysis needs a nondegenerate cubic")
+    slices = slices if slices is not None else _checked_slices(F, p)
     if d < 4 or d > 7:
         raise ValueError("degree must be between 4 and 7")
-    n = F.n
-    dim_d = dim_degree(n, d)
-    slices = slices if slices is not None else {}
-
-    def slice_basis(r: int):
-        if r not in slices:
-            slices[r] = ann_degree(F, r, p)
-        return slices[r]
-
     if p is None:
-        return _square_perp_basis_q(F, d, slice_basis, n, dim_d)
-
-    basis: np.ndarray | None = None
-    for a, b in _degree_pairs(d):
-        A = slice_basis(a)
-        Bb = slice_basis(b)
-        basis_b = None if Bb.dim == dim_degree(n, b) else Bb.matrix()
-        for pvec in A.rows:
-            block = _product_block(pvec, a, b, basis_b, n, p)
-            if basis is None:
-                basis = linalg.kernel_fp(block, p)
-            else:
-                basis = linalg.restrict_kernel(basis, block, p)
-            if basis.shape[0] == 0:
-                break
-        if basis is not None and basis.shape[0] == 0:
+        return _square_perp_basis_q(F, d, slices)
+    basis = None
+    for block in _product_blocks(d, slices):
+        basis = linalg.kernel_fp(block, p) if basis is None else \
+            linalg.restrict_kernel(basis, block, p)
+        if basis.shape[0] == 0:
             break
-    rows = [list(map(int, r)) for r in basis] if basis is not None else []
-    return linalg.SubspaceBasis("P", d, n, dim_d, p, rows)
+    return linalg.SubspaceBasis("P", d, F.n, dim_degree(F.n, d), p,
+                                basis.tolist())
 
 
-def _square_perp_basis_q(F, d, slice_basis, n, dim_d):
-    mod_dim = square_perp_basis(F, d, _cert_prime(F)).dim
+def _square_perp_basis_q(F, d, slices):
+    n, dim_d = F.n, dim_degree(F.n, d)
+    mod_dim = square_perp_basis(F, d, slices.cert.p, slices.cert).dim
     if mod_dim == 0:
         return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
     if d == 4 and mod_dim == n:
         prods = ev_product_matrix(
-            [poly_from_vector(r, "S", n, 2) for r in slice_basis(2).rows], F)
+            [poly_from_vector(r, "S", n, 2) for r in slices(2).rows], F)
         witness = [coefficient_vector(dp_mul(Poly.variable("P", n, i), F), 4)
                    for i in range(n)]
         annihilated = all(
@@ -198,14 +222,7 @@ def _square_perp_basis_q(F, d, slice_basis, n, dim_d):
             for row in prods for wit in witness)
         if annihilated and linalg.rank_q(witness) == n:
             return linalg.span(witness, "P", d, n, dim_d)
-    rows_all: list = []
-    for a, b in _degree_pairs(d):
-        A = slice_basis(a)
-        Bb = slice_basis(b)
-        basis_b = None if Bb.dim == dim_degree(n, b) else Bb.rows
-        for pvec in A.rows:
-            rows_all.extend(_product_block(pvec, a, b, basis_b, n, None))
-    kern = linalg.kernel_q(rows_all)
+    kern = linalg.kernel_q(np.vstack(list(_product_blocks(d, slices))))
     return linalg.SubspaceBasis("P", d, n, dim_d, None, kern)
 
 
@@ -224,9 +241,10 @@ def perp_dimensions(F: Poly, p: int | None = None) -> dict[int, int]:
     Once a degree comes out zero every higher degree is zero too (the
     squared ideal is an ideal, so multiplying a full graded piece by the
     linear operators keeps it full); degrees past the first zero are not
-    recomputed.  The annihilator slices are shared across degrees.
+    recomputed.  The annihilator slices, and the check that F is a
+    nondegenerate cubic, are shared across degrees.
     """
-    slices: dict = {}
+    slices = _checked_slices(F, p)
     out: dict[int, int] = {}
     for d in (4, 5, 6, 7):
         if out and out[d - 1] == 0:
@@ -249,8 +267,6 @@ def tangent_dimension(F: Poly, p: int | None = None) -> int:
     Raises ValueError for degenerate cubics (cones), whose apolar scheme
     does not have length 14.
     """
-    if not is_nondegenerate_cubic(F, p):
-        raise ValueError("tangent dimension needs a nondegenerate cubic")
     return 70 + sum(perp_dimensions(F, p).values())
 
 
@@ -275,13 +291,7 @@ def ev_product_matrix(quadric_basis: list[Poly], F: Poly, p: int | None = None):
     for q in quadric_basis:
         if q.ring != "S" or q.is_zero() or q.degree() != 2:
             raise ValueError("ev rows must be degree-2 operators")
-        residual = contract(q, F)
-        if p is None:
-            bad = not residual.is_zero()
-        else:
-            bad = linalg.to_fp_matrix(
-                [coefficient_vector(residual, 1)], p).any()
-        if bad:
+        if linalg.rank([coefficient_vector(contract(q, F), 1)], p):
             raise ValueError("a quadric in the basis does not annihilate F")
     rows = []
     for i in range(15):
@@ -340,8 +350,9 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
     """Full tangent-space report, multi-prime checked or exact rational.
 
     With ``field_kind="fp"`` the computation runs over ``n_primes``
-    distinct random primes (or the explicit ``primes``) and every reported
-    integer must agree across them; disagreement raises RuntimeError.
+    distinct random primes that divide no denominator of F (or the
+    explicit ``primes``) and every reported integer must agree across
+    them; disagreement raises RuntimeError.
     With ``field_kind="q"`` the exact rational path runs (certificates
     plus Fraction elimination where certificates do not apply).
 
@@ -357,7 +368,7 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
         used: list[int] = []
     elif field_kind == "fp":
         if primes is None:
-            primes = draw_primes(n_primes, seed)
+            primes = draw_primes(n_primes, seed, F)
         used = list(primes)
         if not used:
             raise ValueError("the fp analysis needs at least one prime")
@@ -388,24 +399,8 @@ def fiber_equivalence(F3: Poly, Q: Poly, Q2: Poly, p: int | None = None) -> bool
     for q in (Q, Q2):
         if q.ring != "P" or (not q.is_zero() and q.degree() > 2):
             raise ValueError("expected P-side forms of degree at most 2")
-    from .apolarity import _le_vector
-
-    def span_rows(f: Poly):
-        rows = []
-        for r in range(4):
-            for se in monomials(f.n, r):
-                g = contract(Poly.monomial("S", f.n, se), f)
-                if not g.is_zero():
-                    rows.append(_le_vector(g, 3))
-        return rows
-
-    a, b = span_rows(F3 + Q), span_rows(F3 + Q2)
-    if p is not None:
-        ra, rka, _ = linalg.rref_fp(a, p)
-        rb, rkb, _ = linalg.rref_fp(b, p)
-        return rka == rkb and bool(np.array_equal(ra[:rka], rb[:rkb]))
-    ra, rka, _ = linalg.rref_q(a)
-    rb, rkb, _ = linalg.rref_q(b)
+    (ra, rka, _), (rb, rkb, _) = (linalg.rref(_contraction_rows(F3 + q), p)
+                                  for q in (Q, Q2))
     return ra[:rka] == rb[:rkb]
 
 
@@ -489,8 +484,8 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
     n = F1.n
     c_space = linalg.intersect(ann_degree(F1, 2, p), ann_degree(F2, 2, p))
     dim2 = dim_degree(n, 2)
-    t1 = np.asarray(catalecticant(F1, 2, p), dtype=np.int64)
-    t2 = np.asarray(catalecticant(F2, 2, p), dtype=np.int64)
+    t1 = catalecticant(F1, 2, p)
+    t2 = catalecticant(F2, 2, p)
     zero = np.zeros_like(t1.T)
     rows = np.vstack([
         np.hstack([t1.T, zero]),
@@ -730,7 +725,7 @@ def pencil_report(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     if F1.is_zero() or F2.is_zero() or F1 == F2:
         raise ValueError("pencil needs two distinct nonzero endpoints")
     if primes is None:
-        primes = draw_primes(n_primes, seed)
+        primes = draw_primes(n_primes, seed, F1, F2)
     if not primes:
         raise ValueError("a pencil report needs at least one prime")
     profiles = []

@@ -1,11 +1,13 @@
 """Dense exact linear algebra over the rationals and over prime fields.
 
-Prime-field matrices are numpy int64 arrays of least nonnegative residues;
-with p < 2**26 every product fits comfortably in int64 even after summing
-along the longest shared dimension used in this package (792), so all
-elimination and matmul code below is exact in machine integers.  Rational
-matrices are plain lists of Fraction rows.  Throughout, ``p=None`` selects
-the rational path.
+Elimination runs on 2-D numpy working arrays (:func:`field_array`): int64
+residues mod p, or object-dtype Fractions when ``p`` is None.  With
+p < 2**26 every product fits comfortably in int64 even after summing along
+the longest shared dimension used in this package (792), so the modular
+code is exact in machine integers.  One Gauss-Jordan body and one kernel
+construction serve both fields; ``rref``, ``rank`` and ``kernel`` are the
+field switch callers use.  The ``_fp`` entry points return int64 arrays,
+the ``_q`` ones lists of Fraction rows.
 
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
@@ -60,36 +62,71 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def rref_fp(mat, p: int):
-    """Reduced row echelon form over F_p.
+_fractions = np.frompyfunc(Fraction, 1, 1)
 
-    Returns (reduced matrix, rank, pivot column list).  The input is not
-    modified.
+
+def field_array(mat, p: int | None = None) -> np.ndarray:
+    """A fresh 2-D working array of an exact matrix: int64 residues mod p,
+    or object-dtype Fractions when p is None."""
+    if p is None:
+        m = _fractions(np.array(mat, dtype=object))
+    else:
+        m = to_fp_matrix(mat, p)
+    return m.reshape(1, -1) if m.ndim == 1 else m
+
+
+def _rref(m: np.ndarray, p: int | None):
+    """Gauss-Jordan elimination of a working array, in place.
+
+    One body for both fields: residues mod p, or Fractions when p is None.
+    Only the rows with a nonzero entry in the pivot column are updated.
+    Returns (reduced array, rank, pivot column list).
     """
-    m = to_fp_matrix(mat, p).copy()
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = m[r, c:] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            m[:, c:] = (m[:, c:] - np.outer(col, m[r, c:])) % p
+        if p is None:
+            m[r, c:] = m[r, c:] / m[r, c]
+        else:
+            m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        rows = np.flatnonzero(m[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            update = m[rows, c:] - np.outer(m[rows, c], m[r, c:])
+            m[rows, c:] = update if p is None else update % p
         pivots.append(c)
         r += 1
     return m, r, pivots
+
+
+def _kernel(m: np.ndarray, p: int | None) -> np.ndarray:
+    """RREF-canonical basis of the right kernel of a working array, one
+    row per basis vector, in the array's own field."""
+    red, rank, pivots = _rref(m, p)
+    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+    basis = field_array(np.eye(m.shape[1], dtype=np.int64)[free], p)
+    basis[:, pivots] = -red[:rank, free].T
+    if p is not None:
+        basis %= p
+    return _rref(basis, p)[0]
+
+
+def rref_fp(mat, p: int):
+    """Reduced row echelon form over F_p.
+
+    Returns (reduced int64 array, rank, pivot column list).  The input is
+    not modified.
+    """
+    return _rref(field_array(mat, p), p)
 
 
 def rank_fp(mat, p: int) -> int:
@@ -97,21 +134,9 @@ def rank_fp(mat, p: int) -> int:
 
 
 def kernel_fp(mat, p: int) -> np.ndarray:
-    """RREF-canonical basis of the right kernel, one row per basis vector."""
-    m = to_fp_matrix(mat, p)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    ncols = m.shape[1]
-    red, rank, pivots = rref_fp(m, p)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    if not free:
-        return np.zeros((0, ncols), dtype=np.int64)
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for j, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red[j, fc])) % p
-    return rref_fp(basis, p)[0][: len(free)]
+    """RREF-canonical basis of the right kernel, one int64 row per basis
+    vector."""
+    return _kernel(field_array(mat, p), p)
 
 
 def det_fp(mat, p: int) -> int:
@@ -144,12 +169,8 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
     Lets large kernels be cut down block by block without ever forming the
     full stacked constraint matrix.
     """
-    if basis.shape[0] == 0:
-        return basis
     prod = matmul_fp(to_fp_matrix(constraint, p), basis.T, p)
     coeffs = kernel_fp(prod, p)
-    if coeffs.shape[0] == 0:
-        return np.zeros((0, basis.shape[1]), dtype=np.int64)
     return rref_fp(matmul_fp(coeffs, basis, p), p)[0][: coeffs.shape[0]]
 
 
@@ -157,54 +178,41 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
 
 
 def rref_q(mat):
-    """Reduced row echelon form with exact Fraction arithmetic."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, r, pivots
+    """Reduced row echelon form over Q: (list of Fraction rows, rank,
+    pivot column list)."""
+    red, rank, pivots = _rref(field_array(mat), None)
+    return red.tolist(), rank, pivots
 
 
 def rank_q(mat) -> int:
     return rref_q(mat)[1]
 
 
-def kernel_q(mat, ncols: int | None = None):
+def kernel_q(mat):
     """Right-kernel basis over Q, RREF-canonical rows of Fractions."""
-    if not mat:
-        n = ncols or 0
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    ncols = len(mat[0])
-    red, rank, pivots = rref_q(mat)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for j, pc in enumerate(pivots):
-            vec[pc] = -red[j][fc]
-        basis.append(vec)
-    if not basis:
-        return []
-    return rref_q(basis)[0][: len(basis)]
+    return _kernel(field_array(mat), None).tolist()
+
+
+# -- one field switch -------------------------------------------------------
+
+
+def rref(mat, p: int | None = None):
+    """(reduced rows as a list, rank, pivot columns) over F_p, or over Q
+    when p is None."""
+    if p is None:
+        return rref_q(mat)
+    red, rank, pivots = rref_fp(mat, p)
+    return red.tolist(), rank, pivots
+
+
+def rank(mat, p: int | None = None) -> int:
+    return rank_q(mat) if p is None else rank_fp(mat, p)
+
+
+def kernel(mat, p: int | None = None) -> list:
+    """RREF-canonical right-kernel basis as a list of rows: ints mod p,
+    Fractions over Q."""
+    return kernel_q(mat) if p is None else kernel_fp(mat, p).tolist()
 
 
 def det_bareiss(mat):
@@ -259,7 +267,8 @@ class SubspaceBasis:
     """RREF basis of a subspace of one graded piece, in monomial coordinates.
 
     ``rows`` is a list of coefficient rows (Fractions over Q, ints mod p);
-    row count equals the dimension.
+    row count equals the dimension.  The dataclass equality compares the
+    ambient and the rows, which for canonical bases is subspace equality.
     """
 
     ring: str
@@ -273,12 +282,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def matrix(self):
-        if self.p is not None:
-            return to_fp_matrix(self.rows, self.p) if self.rows else np.zeros(
-                (0, self.ncols), dtype=np.int64)
-        return [list(r) for r in self.rows]
-
     def same_ambient(self, other: "SubspaceBasis") -> bool:
         return (self.ring, self.degree, self.n_vars, self.ncols, self.p) == (
             other.ring, other.degree, other.n_vars, other.ncols, other.p)
@@ -289,15 +292,6 @@ class SubspaceBasis:
                      self.n_vars, self.ncols, self.p)
         return grown.dim == self.dim
 
-    def __eq__(self, other):
-        if not isinstance(other, SubspaceBasis) or not self.same_ambient(other):
-            return False
-        if self.p is not None:
-            a, b = self.matrix(), other.matrix()
-            return a.shape == b.shape and bool(np.array_equal(a, b))
-        return [list(map(Fraction, r)) for r in self.rows] == [
-            list(map(Fraction, r)) for r in other.rows]
-
 
 def span(vectors, ring: str, degree: int, n_vars: int, ncols: int,
          p: int | None = None) -> SubspaceBasis:
@@ -305,13 +299,8 @@ def span(vectors, ring: str, degree: int, n_vars: int, ncols: int,
     vectors = [list(v) for v in vectors]
     if not vectors:
         return SubspaceBasis(ring, degree, n_vars, ncols, p, [])
-    if p is None:
-        red, rank, _ = rref_q(vectors)
-        rows = red[:rank]
-    else:
-        red, rank, _ = rref_fp(vectors, p)
-        rows = [list(map(int, r)) for r in red[:rank]]
-    return SubspaceBasis(ring, degree, n_vars, ncols, p, rows)
+    red, rank, _ = rref(vectors, p)
+    return SubspaceBasis(ring, degree, n_vars, ncols, p, red[:rank])
 
 
 def subspace_sum(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
@@ -324,14 +313,9 @@ def subspace_sum(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
 def perp(u: SubspaceBasis) -> SubspaceBasis:
     """Coordinate-orthogonal complement (the contraction pairing is diagonal
     on monomials, so perps of graded pieces are plain kernels)."""
-    if not u.rows:
-        eye = [[int(i == j) for j in range(u.ncols)] for i in range(u.ncols)]
-        return SubspaceBasis(u.ring, u.degree, u.n_vars, u.ncols, u.p, eye)
-    if u.p is None:
-        rows = kernel_q(u.matrix())
-    else:
-        rows = [list(map(int, r)) for r in kernel_fp(u.matrix(), u.p)]
-    return SubspaceBasis(u.ring, u.degree, u.n_vars, u.ncols, u.p, rows)
+    rows = u.rows or np.zeros((0, u.ncols), dtype=np.int64)
+    return SubspaceBasis(u.ring, u.degree, u.n_vars, u.ncols, u.p,
+                         kernel(rows, u.p))
 
 
 def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:

@@ -70,6 +70,19 @@ def test_analyze_rational_field_picks_a_certificate_prime(capsys):
         assert "perp dims: 4 -> 6, 5 -> 0, 6 -> 0, 7 -> 0" in out
 
 
+def test_drawn_prime_dividing_a_denominator_is_skipped(capsys):
+    # seed 0 draws 53455691, which divides a denominator of this cubic;
+    # the next prime of the same seeded stream takes its place
+    cubic = "1/53455691*x0*x1*x3 - x0*x4^2 + x1*x2^2 + x2*x4*x5 + x3*x5^2"
+    for argv in (("analyze", cubic),
+                 ("pencil", "--f1", cubic, "--f2", "x5^3")):
+        code, out, _ = _run(capsys, *argv)
+        assert code in (0, 2)
+        primes = out.rsplit("primes: ", 1)[1].strip().split(", ")
+        assert len(primes) == 3 and "53455691" not in primes
+        assert "59259479" in primes and "60845693" in primes
+
+
 def test_analyze_json_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     _run(capsys, "analyze", FIXTURE, "--primes", "2", "--seed", "3",

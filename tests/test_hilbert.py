@@ -86,6 +86,36 @@ def test_rational_perp4_runs_one_certificate_prime_perp(monkeypatch):
     assert primes == [None, hilbert._CERT_PRIME]
 
 
+def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
+    calls = {"square_perp_basis": [], "is_nondegenerate_cubic": [],
+             "ann_degree": []}
+    for name, record in calls.items():
+        orig = getattr(hilbert, name)
+
+        def counted(*args, _orig=orig, _record=record):
+            _record.append(args[1:])
+            return _orig(*args)
+
+        monkeypatch.setattr(hilbert, name, counted)
+    assert perp_dimensions(random_cubic(0)) == {4: 6, 5: 0, 6: 0, 7: 0}
+    q = hilbert._CERT_PRIME
+    # one certificate-prime perp per computed degree
+    assert [args[1] for args in calls["square_perp_basis"]] == [None, q] * 2
+    assert calls["is_nondegenerate_cubic"] == [(None,), (q,)]
+    assert calls["ann_degree"] == [(2, q), (2, None), (3, q)]
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_rational_fallback_basis_reduces_to_the_modular_one(d):
+    # sum_of_cubes has perps 36 and 6 here, so the rational basis comes
+    # from exact elimination of the stacked product blocks
+    F = sum_of_cubes()
+    exact = square_perp_basis(F, d)
+    assert exact.dim == (36, 6)[d - 4]
+    assert linalg.to_fp_matrix(exact.rows, P).tolist() == \
+        square_perp_basis(F, d, P).rows
+
+
 def test_rational_perp4_witness_basis_is_canonical():
     F = _fixture()
     quadrics = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2).rows]

@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar import linalg
 
 P = 67108859  # prime, fits the int64-exact budget
+SMALL_P = 7   # small enough that reduction often drops a rank
+
+small_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-9, 9), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
 
 
 def test_to_fp_matrix_plain_ints():
@@ -67,6 +74,38 @@ def test_kernel_q_annihilates():
     assert len(kern) == 1
     v = kern[0]
     assert [sum(Fraction(a) * b for a, b in zip(row, v)) for row in mat] == [0, 0]
+
+
+def _is_rref(rows):
+    leads = [next(j for j, x in enumerate(row) if x) for row in rows]
+    return leads == sorted(set(leads)) and all(
+        rows[k][lead] == (k == i) for i, lead in enumerate(leads)
+        for k in range(len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices)
+def test_reduction_never_raises_the_rank(mat):
+    assert linalg.rank_fp(mat, SMALL_P) <= linalg.rank_q(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices)
+def test_kernel_q_is_an_exact_rref_complement(mat):
+    kern = linalg.kernel_q(mat)
+    assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+               for row in mat for vec in kern)
+    assert _is_rref(kern)
+    assert len(kern) + linalg.rank_q(mat) == len(mat[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices)
+def test_rref_q_reduces_to_rref_fp_when_ranks_agree(mat):
+    red_q, rank_q, piv_q = linalg.rref_q(mat)
+    red_p, rank_p, piv_p = linalg.rref_fp(mat, SMALL_P)
+    if (rank_q, piv_q) == (rank_p, piv_p):
+        assert np.array_equal(linalg.to_fp_matrix(red_q, SMALL_P), red_p)
 
 
 def test_det_bareiss_known_values():
