@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -35,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(64, "%s: error: %s\n" % (self.prog, message))
+
+
+def _check_json_path(path: str | None) -> None:
+    """Reject an unwritable report path before any computation runs."""
+    if not path or path == "-":
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK)
+            or (os.path.exists(path) and not os.access(path, os.W_OK))):
+        raise UsageError("cannot write the JSON report to %s" % path)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -260,6 +272,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 64
     try:
+        _check_json_path(args.json)
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -123,8 +123,7 @@ def gr26_section_cubic(seed: int = 0, p: int | None = None,
         if any(q.is_zero() for q in subbed):
             continue
         rows = [coefficient_vector(q, 2) for q in subbed]
-        rank = linalg.rank_fp(rows, p) if p is not None else linalg.rank_q(rows)
-        if rank != 15:
+        if linalg.rank(rows, p) != 15:
             continue
         try:
             F = dual_socle_generator(subbed, 6, p)

@@ -4,10 +4,16 @@ Elimination runs on 2-D numpy working arrays (:func:`field_array`): int64
 residues mod p, or object-dtype Fractions when ``p`` is None.  With
 p < 2**26 every product fits comfortably in int64 even after summing along
 the longest shared dimension used in this package (792), so the modular
-code is exact in machine integers.  One Gauss-Jordan body and one kernel
-construction serve both fields; ``rref``, ``rank`` and ``kernel`` are the
-field switch callers use.  The ``_fp`` entry points return int64 arrays,
-the ``_q`` ones lists of Fraction rows.
+code is exact in machine integers.  This elimination core is the only code
+that serves both fields: one Gauss-Jordan body and one kernel construction,
+with ``rref``, ``rank`` and ``kernel`` the field switch callers use.  The
+``_fp`` entry points return int64 arrays, the ``_q`` ones lists of Fraction
+rows.
+
+Determinants (:func:`det_fp`; :func:`det_bareiss` is the integer reference
+it is tested against), univariate interpolation (Newton divided
+differences) and roots (Yun's square-free decomposition, then
+Cantor-Zassenhaus) work over F_p only.
 
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
@@ -62,14 +68,11 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-_fractions = np.frompyfunc(Fraction, 1, 1)
-
-
 def field_array(mat, p: int | None = None) -> np.ndarray:
     """A fresh 2-D working array of an exact matrix: int64 residues mod p,
     or object-dtype Fractions when p is None."""
     if p is None:
-        m = _fractions(np.array(mat, dtype=object))
+        m = np.frompyfunc(Fraction, 1, 1)(np.array(mat, dtype=object))
     else:
         m = to_fp_matrix(mat, p)
     return m.reshape(1, -1) if m.ndim == 1 else m
@@ -216,32 +219,15 @@ def kernel(mat, p: int | None = None) -> list:
 
 
 def det_bareiss(mat):
-    """Fraction-free determinant (Bareiss) for integer matrices.
-
-    Falls back to exact Fraction elimination when entries are not integers.
-    """
+    """Determinant of an integer matrix by Bareiss elimination, exact in
+    integers; the reference that :func:`det_fp` is tested against."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant of a non-square matrix")
+    if not all(isinstance(x, int) for row in mat for x in row):
+        raise ValueError("Bareiss determinant of a non-integer matrix")
     if n == 0:
         return 1
-    if not all(isinstance(x, int) for row in mat for x in row):
-        m = [[Fraction(x) for x in row] for row in mat]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
     m = [list(row) for row in mat]
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -333,24 +319,24 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def poly_eval(coeffs, x, p: int | None = None):
+def poly_eval(coeffs, x, p: int) -> int:
     acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
-        if p is not None:
-            acc %= p
+        acc = (acc * x + c) % p
     return acc
 
 
-def interpolate(samples, bound: int, p: int | None = None) -> list:
-    """Degree-``bound`` Lagrange interpolation with consistency checking.
+def interpolate(samples, bound: int, p: int) -> list:
+    """Degree-``bound`` interpolation mod p with consistency checking.
 
     ``samples`` is a list of (node, value) pairs with distinct nodes; at
     least bound+1 are required, and any extra samples must match the
     interpolant exactly, otherwise the fit is rejected (a wrong degree
     bound shows up as an inconsistency, not a silent bad answer).
 
-    Returns ascending coefficients, trailing zeros trimmed.
+    The first bound+1 samples give Newton divided differences, and the
+    Newton form is expanded by Horner's rule.  Returns ascending
+    coefficients, trailing zeros trimmed.
     """
     nodes = [s[0] for s in samples]
     if len(set(nodes)) != len(nodes):
@@ -358,35 +344,22 @@ def interpolate(samples, bound: int, p: int | None = None) -> list:
     if len(samples) < bound + 1:
         raise ValueError("need at least %d samples for degree %d" % (bound + 1, bound))
     base, extra = samples[: bound + 1], samples[bound + 1:]
-    zero = 0 if p is not None else Fraction(0)
-    coeffs = [zero] * (bound + 1)
-    for i, (xi, yi) in enumerate(base):
-        # numerator polynomial prod_{j != i} (x - x_j), built incrementally
-        num = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(base):
-            if j == i:
-                continue
-            nxt = [zero] * (len(num) + 1)
-            for k, c in enumerate(num):
-                nxt[k + 1] += c
-                nxt[k] -= c * xj
-            num = [c % p for c in nxt] if p is not None else nxt
-            denom = denom * (xi - xj)
-            if p is not None:
-                denom %= p
-        if p is not None:
-            scale = yi * pow(denom % p, p - 2, p) % p
-            for k, c in enumerate(num):
-                coeffs[k] = (coeffs[k] + c * scale) % p
-        else:
-            scale = Fraction(yi) / denom
-            for k, c in enumerate(num):
-                coeffs[k] += c * scale
+    xs = [x % p for x, _ in base]
+    dd = [y % p for _, y in base]
+    # after pass k, dd[i] (i >= k) is the divided difference f[x_{i-k}..x_i]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * pow(xs[i] - xs[i - k], p - 2, p) % p
+    coeffs = [dd[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        # coeffs <- coeffs * (u - x_k) + dd[k]
+        nxt = [0] + coeffs
+        for j, c in enumerate(coeffs):
+            nxt[j] = (nxt[j] - c * xs[k]) % p
+        nxt[0] = (nxt[0] + dd[k]) % p
+        coeffs = nxt
     for xe, ye in extra:
-        have = poly_eval(coeffs, xe, p)
-        want = ye % p if p is not None else Fraction(ye)
-        if have != want:
+        if poly_eval(coeffs, xe, p) != ye % p:
             raise ValueError(
                 "samples are inconsistent with degree bound %d" % bound)
     return _trim(coeffs)
@@ -494,24 +467,24 @@ def _poly_powmod_fp(base, e, mod, p):
 
 
 def roots_fp(coeffs: list, p: int, rng: random.Random | None = None) -> dict[int, int]:
-    """All roots in F_p with multiplicities (Cantor-Zassenhaus splitting)."""
-    rng = rng or random.Random(0)
-    f = _trim([c % p for c in coeffs])
-    if len(f) <= 1:
-        return {}
-    # product of distinct linear factors: gcd(x^p - x, f)
-    xp = _poly_powmod_fp([0, 1], p, f, p)
-    xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    lin = poly_gcd_fp(xp_minus_x, f, p)
-    roots: list[int] = []
+    """All roots in F_p with multiplicities.
 
-    def split(g: list):
+    The polynomial must be nonzero of degree below p, as Yun's
+    :func:`squarefree_decomposition_fp` requires (it raises ValueError
+    otherwise); the working primes here are at least 2^25 and pencil
+    degrees at most 240.  Each square-free factor of exponent j is split
+    into linear factors by gcd(x^p - x, .) and Cantor-Zassenhaus, and each
+    of its roots has multiplicity j.
+    """
+    rng = rng or random.Random(0)
+    out: dict[int, int] = {}
+
+    def split(g: list, mult: int):
         deg = len(g) - 1
         if deg == 0:
             return
         if deg == 1:
-            roots.append((-g[0] * pow(g[1], p - 2, p)) % p)
+            out[(-g[0] * pow(g[1], p - 2, p)) % p] = mult
             return
         while True:
             delta = rng.randrange(p)
@@ -520,35 +493,17 @@ def roots_fp(coeffs: list, p: int, rng: random.Random | None = None) -> dict[int
                            for k, c in enumerate(probe)])
             h = poly_gcd_fp(probe, g, p) if probe else list(g)
             if 0 < len(h) - 1 < deg:
-                split(h)
-                split(poly_divmod_fp(g, h, p)[0])
+                split(h, mult)
+                split(poly_divmod_fp(g, h, p)[0], mult)
                 return
 
-    split(lin)
-    out: dict[int, int] = {}
-    for r in roots:
-        out[r] = multiplicity_at(f, r, p)
+    for mult, g in squarefree_decomposition_fp(coeffs, p).items():
+        # product of the distinct linear factors of g: gcd(x^p - x, g)
+        xp = _poly_powmod_fp([0, 1], p, g, p)
+        xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
+        xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+        split(poly_gcd_fp(xp_minus_x, g, p), mult)
     return out
-
-
-def multiplicity_at(coeffs: list, root, p: int | None = None) -> int:
-    """Largest k with (u - root)^k dividing the polynomial."""
-    cur = _trim(list(coeffs))
-    if not cur:
-        raise ValueError("zero polynomial has no multiplicity")
-    k = 0
-    while cur and poly_eval(cur, root, p) == 0:
-        # synthetic division by (u - root); remainder is the evaluation, 0
-        out = [0] * (len(cur) - 1)
-        acc = 0
-        for i in range(len(cur) - 1, 0, -1):
-            acc = acc * root + cur[i]
-            if p is not None:
-                acc %= p
-            out[i - 1] = acc
-        cur = _trim(out)
-        k += 1
-    return k
 
 
 def random_prime(rng: random.Random, lo: int = 1 << 25, hi: int = _MAX_PRIME) -> int:

@@ -242,6 +242,8 @@ def _parse_terms(text: str, letter: str, n_vars: int, param_index: int | None):
         if kind == "op" and val in "+-":
             if not first and tokens[i - 1][0] == "op":
                 raise ValueError("syntax error at position %d: doubled sign" % pos)
+            if i + 1 == len(tokens):
+                raise ValueError("syntax error at position %d: dangling sign" % pos)
             sign = 1 if val == "+" else -1
             i += 1
             continue
@@ -529,9 +531,9 @@ def change_of_basis(F: Poly, g) -> Poly:
     rows = [list(r) for r in g]
     if len(rows) != F.n or any(len(r) != F.n for r in rows):
         raise ValueError("matrix must be %d x %d" % (F.n, F.n))
-    from .linalg import det_bareiss  # linalg imports this module
+    from .linalg import rank  # linalg imports this module
 
-    if det_bareiss(rows) == 0:
+    if rank(rows) < F.n:
         raise ValueError("singular change of basis")
     cols = [[rows[j][i] for j in range(F.n)] for i in range(F.n)]
     out = Poly.zero("P", F.n)

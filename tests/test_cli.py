@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from apolar import cli
 from apolar.cli import main
 
 FIXTURE = "x0*x1*x3 - x0*x4^2 + x1*x2^2 + x2*x4*x5 + x3*x5^2"
@@ -98,6 +99,37 @@ def test_analyze_syntax_error(capsys):
     code, _, err = _run(capsys, "analyze", "x0 +* x1")
     assert code == 3
     assert "error:" in err
+
+
+def test_analyze_dangling_sign_is_a_parse_error(capsys):
+    code, _, err = _run(capsys, "analyze", "x0^3 +")
+    assert code == 3
+    assert "dangling sign" in err
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("computed before checking the report path")
+
+
+def test_analyze_unwritable_json_path_fails_first(capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.setattr(cli.hilbert, "analyze", _refuse)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, "analyze", FIXTURE, "--json", str(path))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_pencil_unwritable_json_path_fails_first(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(cli.hilbert, "pencil_report", _refuse)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = _run(capsys, "pencil", "--f1", FIXTURE,
+                              "--f2", "x5^3", "--json", str(path))
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_pencil_fixture(capsys, tmp_path):

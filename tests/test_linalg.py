@@ -112,8 +112,9 @@ def test_det_bareiss_known_values():
     assert linalg.det_bareiss([[1, 2], [3, 4]]) == -2
     assert linalg.det_bareiss([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
     assert linalg.det_bareiss([]) == 1
-    # Fraction fallback path
-    assert linalg.det_bareiss([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+    # an integer reference only: floor division would corrupt Fractions
+    with pytest.raises(ValueError):
+        linalg.det_bareiss([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
 
 
 def test_det_fp_matches_bareiss():
@@ -196,9 +197,23 @@ def test_interpolate_duplicate_nodes():
         linalg.interpolate([(1, 1), (1, 2)], 1, P)
 
 
-def test_interpolate_over_q():
-    samples = [(0, Fraction(1)), (1, Fraction(2)), (2, Fraction(5)), (3, Fraction(10))]
-    assert linalg.interpolate(samples, 2) == [1, 0, 1]
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 24), st.data())
+def test_interpolate_recovers_any_degree_up_to_the_bound(bound, data):
+    deg = data.draw(st.integers(0, bound))
+    coeffs = data.draw(st.lists(st.integers(0, P - 1), min_size=deg + 1,
+                                max_size=deg + 1))
+    coeffs[-1] = coeffs[-1] or 1
+    nodes = data.draw(st.lists(st.integers(1, P - 1), min_size=bound + 4,
+                               max_size=bound + 4, unique=True))
+    samples = [(u, linalg.poly_eval(coeffs, u, P)) for u in nodes]
+    # three consistent surplus samples pass
+    assert linalg.interpolate(samples, bound, P) == coeffs
+    k = data.draw(st.integers(bound + 1, len(samples) - 1))
+    u, v = samples[k]
+    with pytest.raises(ValueError):
+        linalg.interpolate(samples[:k] + [(u, v + 1)] + samples[k + 1:],
+                           bound, P)
 
 
 def test_roots_fp_with_multiplicities():
@@ -218,6 +233,23 @@ def test_roots_fp_scaling_invariance():
     coeffs = [-3, 7, -5, 1]
     scaled = [(c * 12345) % P for c in coeffs]
     assert linalg.roots_fp(scaled, P) == linalg.roots_fp(coeffs, P)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.integers(0, P - 1), st.integers(1, 4), max_size=5),
+       st.integers(1, P - 1))
+def test_roots_fp_multiplicities_survive_a_rootless_factor(mults, a):
+    # u^2 + a^2 has no root mod P, since -1 is a non-residue (P % 4 == 3)
+    f = [a * a % P, 0, 1]
+    for r, m in mults.items():
+        for _ in range(m):
+            f = linalg.poly_mul_fp(f, [P - r, 1], P)
+    assert linalg.roots_fp(f, P) == mults
+
+
+def test_roots_fp_needs_degree_below_p():
+    with pytest.raises(ValueError):
+        linalg.roots_fp([0] * 7 + [1], 7)
 
 
 def test_squarefree_decomposition():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from apolar.linalg import rref_q
 from apolar.poly import (
     Poly,
     change_of_basis,
@@ -69,6 +70,15 @@ def test_parse_rejects_garbage():
         parse_poly("y0^2", "P", 6)
     with pytest.raises(ValueError):
         parse_poly("x0^2", "Q", 6)
+
+
+def test_parse_rejects_dangling_sign():
+    for text in ("x0^3+", "x0^3 -", "-"):
+        with pytest.raises(ValueError, match="dangling sign"):
+            parse_poly(text, "P", 6)
+    with pytest.raises(ValueError, match="empty term"):
+        parse_poly("x0^3*", "P", 6)
+    assert parse_poly("- x0^3", "P", 6) == parse_poly("-x0^3", "P", 6)
 
 
 def test_parse_positions_in_errors():
@@ -199,6 +209,24 @@ def test_change_of_basis_rejects_singular():
     zero = [[0] * 6 for _ in range(6)]
     with pytest.raises(ValueError):
         change_of_basis(F, zero)
+
+
+def test_change_of_basis_rational_matrices():
+    F = parse_poly("x0*x1*x3 - x0*x4^2 + 1/3*x1*x2^2 + x5^3", "P", 6)
+    rng = random.Random(4)
+    g = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(6)]
+         for _ in range(6)]
+    singular = [row[:] for row in g]
+    singular[5] = [Fraction(1, 2) * a - Fraction(2, 3) * b
+                   for a, b in zip(g[0], g[1])]
+    with pytest.raises(ValueError):
+        change_of_basis(F, singular)
+    eye = [[int(i == j) for j in range(6)] for i in range(6)]
+    red, rank, _ = rref_q([row + e for row, e in zip(g, eye)])
+    assert rank == 6 and [row[:6] for row in red] == eye
+    g_inv = [row[6:] for row in red]
+    assert change_of_basis(change_of_basis(F, g_inv), g) == F
+    assert change_of_basis(change_of_basis(F, g), g_inv) == F
 
 
 def test_coefficient_vector_round_trip():
