@@ -61,7 +61,6 @@ from .linalg import (
     det_bareiss,
     det_fp,
     interpolate,
-    intersect,
     kernel_fp,
     kernel_q,
     perp,

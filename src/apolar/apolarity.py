@@ -256,7 +256,9 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
                 if c:
                     terms[expo] = c
         gens.append(substitute_shift(Poly("S", f.n, terms), w))
-    return TranslatedApolar(gens, apolar_length(f, p), w)
+    # rank-nullity: the contractions span a space of dimension
+    # len(rows) - len(kern), which is the apolar length
+    return TranslatedApolar(gens, len(rows) - len(kern), w)
 
 
 @dataclass

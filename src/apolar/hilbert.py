@@ -41,7 +41,6 @@ from .poly import (
     coefficient_vector,
     contract,
     dim_degree,
-    dp_mul,
     is_prime,
     monomial_index,
     monomials,
@@ -127,6 +126,23 @@ def _product_block(pvec: np.ndarray, a: int, b: int, basis_b, n: int):
         else:
             block[:, table[si]] += pvec[si] * basis_b
     return block
+
+
+def _witness_rows(fvec: np.ndarray, n: int) -> np.ndarray:
+    """The six witnesses x_j (dp-times) F in degree-4 coordinates, one row
+    per j, from the cubic coefficient vector ``fvec`` of F.
+
+    x_j (dp-times) x^m = (m_j + 1) x^(m + e_j), so row j places
+    (m_j + 1) * fvec[m] at the index of m + e_j.  The rows keep the dtype
+    of ``fvec``: object arrays stay exact (ints or Fractions, with Python
+    int multiplicities), int64 residues are left unreduced.
+    """
+    mult = np.array(monomials(n, 3), dtype=fvec.dtype) + 1
+    table = shift_table(n, 1, 3)
+    rows = np.zeros((n, dim_degree(n, 4)), dtype=fvec.dtype)
+    for j in range(n):
+        rows[j, table[j]] = fvec * mult[:, j]
+    return rows
 
 
 def _degree_pairs(d: int) -> list[tuple[int, int]]:
@@ -215,13 +231,15 @@ def _square_perp_basis_q(F, d, slices):
     if d == 4 and mod_dim == n:
         prods = ev_product_matrix(
             [poly_from_vector(r, "S", n, 2) for r in slices(2).rows], F)
-        witness = [coefficient_vector(dp_mul(Poly.variable("P", n, i), F), 4)
-                   for i in range(n)]
+        witness = _witness_rows(
+            np.array(coefficient_vector(F, 3), dtype=object), n)
         annihilated = all(
             sum(rc * wc for rc, wc in zip(row, wit)) == 0
             for row in prods for wit in witness)
-        if annihilated and linalg.rank_q(witness) == n:
-            return linalg.span(witness, "P", d, n, dim_d)
+        if annihilated:
+            basis = linalg.span(witness, "P", d, n, dim_d)
+            if basis.dim == n:
+                return basis
     kern = linalg.kernel_q(np.vstack(list(_product_blocks(d, slices))))
     return linalg.SubspaceBasis("P", d, n, dim_d, None, kern)
 
@@ -287,12 +305,12 @@ def ev_product_matrix(quadric_basis: list[Poly], F: Poly, p: int | None = None):
     """
     if len(quadric_basis) != 15:
         raise ValueError("expected a basis of 15 quadrics")
-    n = F.n
     for q in quadric_basis:
         if q.ring != "S" or q.is_zero() or q.degree() != 2:
             raise ValueError("ev rows must be degree-2 operators")
-        if linalg.rank([coefficient_vector(contract(q, F), 1)], p):
-            raise ValueError("a quadric in the basis does not annihilate F")
+    if linalg.rank([coefficient_vector(contract(q, F), 1)
+                    for q in quadric_basis], p):
+        raise ValueError("a quadric in the basis does not annihilate F")
     rows = []
     for i in range(15):
         for j in range(i, 15):
@@ -415,9 +433,12 @@ class PencilProfile:
 
     ``determinant`` holds the ascending monic coefficients of the chart
     determinant after the chart-unit factor (the 6 x 6 minor of the
-    x_j (dp-times) F coordinates on the dropped columns) has been divided
-    out.  Its roots are the pencil parameters u (with v = 1) meeting the
-    divisor of non-generic annihilator squares.  At a simple crossing
+    witness rows x_j (dp-times) F on the dropped columns) has been divided
+    out.  By the complementary-minor identity this quotient is the same
+    for every usable chart; ``chart`` records the one that computed it,
+    and ``roots`` are found once, on it.  Its roots are the pencil
+    parameters u (with v = 1) meeting the divisor of non-generic
+    annihilator squares.  At a simple crossing
     through a generic divisor point the square of the annihilator spans
     111 of the 126 degree-4 coordinates, the 120 x 120 minor drops rank
     by 9, and the root shows up with multiplicity 9; crossings through
@@ -480,12 +501,16 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
     moving sections (a, b) meaning u*a + v*b, a canonical basis of the
     kernel of the three bilinear compatibility conditions taken modulo the
     constants.  The section values at any parameter with a 15-dimensional
-    annihilator slice span that slice exactly."""
+    annihilator slice span that slice exactly.
+
+    The constants come from one kernel, of both transposed degree-2
+    catalecticants stacked: canonical RREF rows of the common annihilator
+    slice."""
     n = F1.n
-    c_space = linalg.intersect(ann_degree(F1, 2, p), ann_degree(F2, 2, p))
     dim2 = dim_degree(n, 2)
     t1 = catalecticant(F1, 2, p)
     t2 = catalecticant(F2, 2, p)
+    constants = linalg.kernel_fp(np.vstack([t1.T, t2.T]), p)
     zero = np.zeros_like(t1.T)
     rows = np.vstack([
         np.hstack([t1.T, zero]),
@@ -494,11 +519,10 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
     ])
     solutions = linalg.kernel_fp(rows, p)
     movers: list[np.ndarray] = []
-    if c_space.dim:
-        cc = []
-        for crow in c_space.rows:
-            cc.append(list(crow) + [0] * dim2)
-            cc.append([0] * dim2 + list(crow))
+    if len(constants):
+        zc = np.zeros_like(constants)
+        cc = np.vstack([np.hstack([constants, zc]),
+                        np.hstack([zc, constants])])
         red, rank, pivots = linalg.rref_fp(cc, p)
         for vec in solutions:
             v = vec.copy()
@@ -512,18 +536,18 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
     if movers:
         red, rank, _ = linalg.rref_fp(movers, p)
         movers = [red[i] for i in range(rank)]
-    if c_space.dim + len(movers) != 15:
+    if len(constants) + len(movers) != 15:
         raise ValueError(
             "pencil family has %d constants + %d movers, expected 15 total"
-            % (c_space.dim, len(movers)))
+            % (len(constants), len(movers)))
     if not movers:
         raise ValueError("pencil does not move (endpoints share all quadrics)")
     family: list[tuple[Poly | None, Poly]] = []
-    for crow in c_space.rows:
-        family.append((None, poly_from_vector(crow, "S", n, 2)))
+    for crow in constants:
+        family.append((None, poly_from_vector(crow.tolist(), "S", n, 2)))
     for m in movers:
-        family.append((poly_from_vector([int(x) for x in m[:dim2]], "S", n, 2),
-                       poly_from_vector([int(x) for x in m[dim2:]], "S", n, 2)))
+        family.append((poly_from_vector(m[:dim2].tolist(), "S", n, 2),
+                       poly_from_vector(m[dim2:].tolist(), "S", n, 2)))
     return family
 
 
@@ -538,11 +562,15 @@ def _chart_columns(chart: tuple, n: int) -> list[int]:
 
 
 def _collect_node_data(F1, F2, sections, nodes, p):
-    """Per node: the 120 x 126 product matrix of the section values and
-    the degree-3 coefficient vector of the fiber cubic."""
+    """Per node u: the 120 x 126 product matrix M(u) of the section values
+    and the 6 x 126 witness rows W(u) of the fiber cubic u*F1 + F2, both
+    reduced mod p.  Every chart reads its minors from these: the raw
+    determinant drops the chart's six columns from M(u), the unit
+    determinant keeps exactly those columns of W(u)."""
     n = F1.n
-    f1v = np.asarray(linalg.to_fp_matrix([coefficient_vector(F1, 3)], p))[0]
-    f2v = np.asarray(linalg.to_fp_matrix([coefficient_vector(F2, 3)], p))[0]
+    f1v, f2v = linalg.to_fp_matrix(
+        [coefficient_vector(F1, 3), coefficient_vector(F2, 3)], p)
+    w1, w2 = _witness_rows(f1v, n), _witness_rows(f2v, n)
     a_mat = linalg.to_fp_matrix([s[0] for s in sections], p)
     b_mat = linalg.to_fp_matrix([s[1] for s in sections], p)
     flat_map = shift_table(n, 2, 2).reshape(-1)
@@ -558,23 +586,8 @@ def _collect_node_data(F1, F2, sections, nodes, p):
                 np.add.at(rows[r], flat_map, outer)
                 r += 1
         rows %= p
-        data.append((u, rows, (f1v * u + f2v) % p))
+        data.append((u, rows, (w1 * u + w2) % p))
     return data
-
-
-def _unit_matrix(fvec, chart_cols, n, p):
-    """6 x 6 chart-unit matrix: column j holds the coordinates of
-    x_j (dp-times) F on the six dropped chart columns."""
-    unit_table = shift_table(n, 1, 3)
-    dim4 = dim_degree(n, 4)
-    unit = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        mult = np.array([mono[j] + 1 for mono in monomials(n, 3)],
-                        dtype=np.int64)
-        img = np.zeros(dim4, dtype=np.int64)
-        img[unit_table[j]] = fvec * mult % p
-        unit[:, j] = img[chart_cols]
-    return unit
 
 
 def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
@@ -591,11 +604,12 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     itself is never sampled — only the interpolant speaks about it, which
     is the point: the annihilator there may jump.
 
-    The family, the nodes and the per-node product matrices are built
-    once; every chart is then evaluated on that shared data.  The profile
-    comes from ``chart_cubic`` when given, else from the first usable
-    cubic monomial.  The first usable monomial after it, in cyclic
-    monomial order, verifies it: the two root profiles must agree.
+    The family, the nodes and the per-node product matrices and witness
+    rows are built once; every chart is then evaluated on that shared
+    data.  The determinant comes from ``chart_cubic`` when given, else
+    from the first usable cubic monomial.  The first usable monomial after
+    it, in cyclic monomial order, verifies it: the two monic determinants
+    must be equal.  Roots are then found once, on the accepted one.
 
     Args:
         chart_cubic: optional degree-3 exponent tuple or monomial Poly.
@@ -647,12 +661,12 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     node_data = _collect_node_data(F1, F2, sections, nodes, p)
     dim4 = dim_degree(n, 4)
 
-    def profile_for(chart_expo: tuple) -> PencilProfile:
+    def chart_determinant(chart_expo: tuple):
         chart_cols = _chart_columns(chart_expo, n)
         dropped = set(chart_cols)
         keep = [c for c in range(dim4) if c not in dropped]
-        unit_vals = [(u, linalg.det_fp(_unit_matrix(fv, chart_cols, n, p), p))
-                     for u, _, fv in node_data]
+        unit_vals = [(u, linalg.det_fp(witness[:, chart_cols], p))
+                     for u, _, witness in node_data]
         dunit = linalg.interpolate(unit_vals, 6, p)
         if not dunit:
             raise ValueError("chart unit vanishes identically (bad chart)")
@@ -666,47 +680,50 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
             raise ValueError("chart unit does not divide the raw determinant")
         lead_inv = pow(quo[-1], p - 2, p)
         monic = [c * lead_inv % p for c in quo]
-        roots = linalg.roots_fp(monic, p, seeded_rng(seed, "roots:%d" % p))
-        return PencilProfile(chart_expo, p, monic, len(draw) - 1,
-                             len(dunit) - 1, roots, len(monic) - 1)
+        return monic, len(draw) - 1, len(dunit) - 1
 
-    return _default_chart(profile_for, n, chart)
+    chart, (monic, raw_degree, unit_degree) = _default_chart(
+        chart_determinant, n, chart)
+    roots = linalg.roots_fp(monic, p, seeded_rng(seed, "roots:%d" % p))
+    return PencilProfile(chart, p, monic, raw_degree, unit_degree, roots,
+                         len(monic) - 1)
 
 
-def _default_chart(profile_for, n: int, chart: tuple | None) -> PencilProfile:
+def _default_chart(fn, n: int, chart: tuple | None):
     """One walk over the cubic monomials, in cyclic order, on one prime's
-    data.
+    data; returns the accepted chart and ``fn`` of it.
 
-    ``profile_for`` maps a chart to its profile and raises ValueError for
-    an unusable chart.  The explicit ``chart`` (which must be usable), or
-    else the first usable monomial, gives the profile; the first other
-    usable monomial must agree on the root profile.  The walk starts just
-    after an explicit chart, so a chart carried over from an earlier prime
-    is verified by the monomial that verified it there, without first
-    retrying the unusable ones before it.  A lone usable chart is accepted
-    unverified.
+    ``fn`` maps a chart to (monic normalized determinant, raw degree, unit
+    degree) and raises ValueError for an unusable chart.  The explicit
+    ``chart`` (which must be usable), or else the first usable monomial,
+    gives the determinant; the first other usable monomial must give the
+    same monic determinant, as the complementary-minor identity says every
+    usable chart does.  The walk starts just after an explicit chart, so a
+    chart carried over from an earlier prime is verified by the monomial
+    that verified it there, without first retrying the unusable ones
+    before it.  A lone usable chart is accepted unverified.
     """
     monos = monomials(n, 3)
     start = 0 if chart is None else monos.index(chart) + 1
-    result = None if chart is None else profile_for(chart)
+    found = None if chart is None else (chart, fn(chart))
     for cand in monos[start:] + monos[:start]:
-        if result is not None and cand == result.chart:
+        if found is not None and cand == found[0]:
             continue
         try:
-            other = profile_for(cand)
+            value = fn(cand)
         except ValueError:
             continue
-        if result is None:
-            result = other
+        if found is None:
+            found = (cand, value)
             continue
-        if other.summary() != result.summary():
+        if value[0] != found[1][0]:
             raise ValueError(
-                "charts disagree on the root profile: %s vs %s"
-                % (result.summary(), other.summary()))
-        return result
-    if result is None:
+                "charts disagree on the normalized determinant: %s vs %s"
+                % (found[0], cand))
+        return found
+    if found is None:
         raise ValueError("no usable chart monomial found")
-    return result
+    return found
 
 
 def pencil_report(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,

@@ -268,10 +268,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def same_ambient(self, other: "SubspaceBasis") -> bool:
-        return (self.ring, self.degree, self.n_vars, self.ncols, self.p) == (
-            other.ring, other.degree, other.n_vars, other.ncols, other.p)
-
     def contains(self, vector) -> bool:
         """Membership test for one coefficient row; exact, no tolerance."""
         grown = span(list(self.rows) + [list(vector)], self.ring, self.degree,
@@ -289,25 +285,12 @@ def span(vectors, ring: str, degree: int, n_vars: int, ncols: int,
     return SubspaceBasis(ring, degree, n_vars, ncols, p, red[:rank])
 
 
-def subspace_sum(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
-    if not u.same_ambient(v):
-        raise ValueError("subspace ambients differ")
-    return span(list(u.rows) + list(v.rows), u.ring, u.degree, u.n_vars,
-                u.ncols, u.p)
-
-
 def perp(u: SubspaceBasis) -> SubspaceBasis:
     """Coordinate-orthogonal complement (the contraction pairing is diagonal
     on monomials, so perps of graded pieces are plain kernels)."""
     rows = u.rows or np.zeros((0, u.ncols), dtype=np.int64)
     return SubspaceBasis(u.ring, u.degree, u.n_vars, u.ncols, u.p,
                          kernel(rows, u.p))
-
-
-def intersect(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
-    if not u.same_ambient(v):
-        raise ValueError("subspace ambients differ")
-    return perp(subspace_sum(perp(u), perp(v)))
 
 
 # -- univariate interpolation and roots -----------------------------------
@@ -329,16 +312,16 @@ def poly_eval(coeffs, x, p: int) -> int:
 def interpolate(samples, bound: int, p: int) -> list:
     """Degree-``bound`` interpolation mod p with consistency checking.
 
-    ``samples`` is a list of (node, value) pairs with distinct nodes; at
-    least bound+1 are required, and any extra samples must match the
-    interpolant exactly, otherwise the fit is rejected (a wrong degree
+    ``samples`` is a list of (node, value) pairs whose nodes are distinct
+    mod p; at least bound+1 are required, and any extra samples must match
+    the interpolant exactly, otherwise the fit is rejected (a wrong degree
     bound shows up as an inconsistency, not a silent bad answer).
 
     The first bound+1 samples give Newton divided differences, and the
     Newton form is expanded by Horner's rule.  Returns ascending
     coefficients, trailing zeros trimmed.
     """
-    nodes = [s[0] for s in samples]
+    nodes = [s[0] % p for s in samples]
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate interpolation nodes")
     if len(samples) < bound + 1:

@@ -379,11 +379,7 @@ def contract(sigma: Poly, f: Poly) -> Poly:
         for fe, fc in f.terms.items():
             if all(b >= a for a, b in zip(se, fe)):
                 key = tuple(b - a for a, b in zip(se, fe))
-                val = out.get(key, 0) + sc * fc
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, 0) + sc * fc
     return Poly("P", f.n, out)
 
 
@@ -406,11 +402,7 @@ def dp_mul(f: Poly, g: Poly) -> Poly:
                 if x and y:
                     w *= math.comb(x + y, x)
             key = tuple(x + y for x, y in zip(ae, be))
-            val = out.get(key, 0) + ac * bc * w
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + ac * bc * w
     return Poly("P", f.n, out)
 
 
@@ -423,11 +415,7 @@ def mul_s(p: Poly, q: Poly) -> Poly:
     for ae, ac in p.terms.items():
         for be, bc in q.terms.items():
             key = tuple(x + y for x, y in zip(ae, be))
-            val = out.get(key, 0) + ac * bc
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + ac * bc
     return Poly("S", p.n, out)
 
 
@@ -495,11 +483,7 @@ def substitute_shift(sigma: Poly, w: Iterable[Scalar]) -> Poly:
                     grown[key] = grown.get(key, 0) + pc * scale
             partial = grown
         for pe, pc in partial.items():
-            val = out.get(pe, 0) + pc
-            if val:
-                out[pe] = val
-            elif pe in out:
-                del out[pe]
+            out[pe] = out.get(pe, 0) + pc
     return Poly("S", sigma.n, out)
 
 

@@ -156,6 +156,16 @@ def test_translated_apolar_length_invariant():
         assert ta.support == w
 
 
+@pytest.mark.parametrize("p", [P, None])
+def test_translated_apolar_length_is_apolar_length(p):
+    # a point of the fiber over the fixture: same leading cubic, small
+    # lower-degree tail (so the rational elimination stays quick)
+    tail = parse_poly("x0^2 - 2*x1*x4 + x5^2 + 3*x2", "P", 6)
+    for f in (_fixture(), _fixture() + tail, Poly.zero("P", 6)):
+        ta = translated_apolar(f, (1, 0, 2, 0, 0, 3), p)
+        assert ta.length == apolar_length(f, p)
+
+
 def test_translated_apolar_round_trip():
     """Shifting generators back by -w recovers the original slice span."""
     F3, Q = fiber_point(seed=5, p=P)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,7 +36,10 @@ from apolar.hilbert import (
 )
 from apolar.poly import (
     Poly,
+    coefficient_vector,
     contract,
+    dp_mul,
+    monomials,
     parse_poly,
     poly_from_vector,
 )
@@ -156,6 +161,40 @@ def test_perp4_contains_witness_vectors():
                 [c % P for c in coefficient_vector(w, 4)])
 
 
+def test_witness_rows_match_dp_mul():
+    F = random_cubic(seed=3)
+    for G in (F, F.scale(Fraction(2, 7))):
+        witness = [coefficient_vector(dp_mul(Poly.variable("P", 6, i), G), 4)
+                   for i in range(6)]
+        exact = hilbert._witness_rows(
+            np.array(coefficient_vector(G, 3), dtype=object), 6)
+        assert exact.tolist() == witness
+        assert {type(c) for c in exact.ravel()} <= {int, Fraction}
+        residues = hilbert._witness_rows(
+            linalg.to_fp_matrix([coefficient_vector(G, 3)], P)[0], 6)
+        assert (residues % P).tolist() == \
+            linalg.to_fp_matrix(witness, P).tolist()
+
+
+def test_rational_analysis_runs_each_rank_once(monkeypatch):
+    # one rank in random_cubic's nondegeneracy check, four for the Hilbert
+    # function, one nondegeneracy check before the perps and one for the
+    # 15 stacked contractions in ev_product_matrix; the witness span of
+    # the degree-4 certificate needs no separate rank
+    calls = []
+    orig = linalg.rank_q
+
+    def counted(mat):
+        calls.append(len(mat))
+        return orig(mat)
+
+    monkeypatch.setattr(linalg, "rank_q", counted)
+    rep = analyze(random_cubic(3), field_kind="q")
+    assert rep.tangent_dim == 76
+    assert len(calls) == 7
+    assert calls.count(15) == 1
+
+
 def test_tangent_dimension_values():
     assert tangent_dimension(_fixture(), P) == 76
     assert tangent_dimension(sum_of_cubes(), P) == 112
@@ -273,9 +312,19 @@ def test_fiber_equivalence_detects_difference():
 # pencil machinery
 
 
-def test_pencil_family_fixture_counts():
+def test_pencil_family_fixture_counts(monkeypatch):
+    kernels = []
+    orig = linalg.kernel_fp
+
+    def counted(mat, p):
+        kernels.append(p)
+        return orig(mat, p)
+
+    monkeypatch.setattr(linalg, "kernel_fp", counted)
     F, G = _fixture(), _cube()
     fam = pencil_family(F, G, P)
+    # one kernel for the common annihilators, one for the sections
+    assert kernels == [P, P]
     assert len(fam) == 15
     constants = [s for s in fam if s[0] is None or s[0].is_zero()]
     movers = [s for s in fam if not (s[0] is None or s[0].is_zero())]
@@ -352,17 +401,20 @@ def test_pencil_report_rejects_empty_prime_list():
 
 
 def test_pencil_report_builds_node_data_once_per_prime(monkeypatch):
-    calls = {"pencil_family": 0, "_collect_node_data": 0}
+    calls = {"pencil_family": 0, "_collect_node_data": 0, "roots_fp": 0}
     for name in calls:
-        orig = getattr(hilbert, name)
+        module = linalg if name == "roots_fp" else hilbert
+        orig = getattr(module, name)
 
         def counted(*args, _name=name, _orig=orig, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(hilbert, name, counted)
+        monkeypatch.setattr(module, name, counted)
     out = pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
-    assert calls == {"pencil_family": 3, "_collect_node_data": 3}
+    # roots are found once per prime, on the accepted determinant only
+    assert calls == {"pencil_family": 3, "_collect_node_data": 3,
+                     "roots_fp": 3}
     # the default chart gives the same report as that chart given explicitly
     explicit = pencil_report(_fixture(), _cube(), tuple(out["chart"]),
                              n_primes=3, seed=0)
@@ -398,6 +450,20 @@ def test_chart_search_without_usable_chart():
 
     with pytest.raises(ValueError, match="no usable chart monomial found"):
         hilbert._default_chart(unusable, 6, None)
+
+
+def test_chart_search_rejects_disagreeing_determinants():
+    # u(u - 1) and u(u - 2): equal root summaries, different determinants
+    fake = {0: [0, P - 1, 1], 1: [0, P - 2, 1]}
+    monos = monomials(6, 3)
+
+    def two_charts(chart):
+        if monos.index(chart) not in fake:
+            raise ValueError("chart minor identically zero (degenerate chart)")
+        return fake[monos.index(chart)], 2, 0
+
+    with pytest.raises(ValueError, match="charts disagree"):
+        hilbert._default_chart(two_charts, 6, None)
 
 
 def test_pencil_of_two_generic_cubics_misses_zero():

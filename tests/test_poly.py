@@ -99,6 +99,9 @@ def test_contract_monomials():
     g = parse_poly("x0*x1", "P", 6)
     one = contract(mul_s(_a(0), _a(1)), g)
     assert one.terms == {(0,) * 6: 1}
+    # the a0 and a1 images of the two terms cancel on x1
+    cancel = contract(_a(0) - _a(1), parse_poly("x0*x1 + x1^2", "P", 6))
+    assert cancel.terms == {(1, 0, 0, 0, 0, 0): -1}
 
 
 def test_contract_ring_mismatch():
@@ -115,6 +118,8 @@ def test_dp_mul_binomial_weights():
     assert cube.terms == {(3, 0, 0, 0, 0, 0): 6}
     mixed = dp_mul(_x(0), _x(1))
     assert mixed.terms == {(1, 1, 0, 0, 0, 0): 1}
+    diff = dp_mul(_x(0) + _x(1), _x(0) - _x(1))
+    assert diff.terms == {(2, 0, 0, 0, 0, 0): 2, (0, 2, 0, 0, 0, 0): -2}
 
 
 def test_contract_is_derivation_for_dp():
@@ -182,6 +187,10 @@ def test_substitute_shift_round_trip():
         back = substitute_shift(shifted, [-wi for wi in w])
         assert back == sigma
     assert substitute_shift(sigma, [0] * 6) == sigma
+    # (a0 - 1)^2 + 2 (a0 - 1): the linear terms of the two images cancel
+    cancel = substitute_shift(parse_poly("a0^2 + 2*a0", "S", 6),
+                              [-1, 0, 0, 0, 0, 0])
+    assert cancel.terms == {(2, 0, 0, 0, 0, 0): 1, (0,) * 6: -1}
 
 
 def test_specialize_parameter():
