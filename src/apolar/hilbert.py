@@ -436,7 +436,11 @@ class PencilProfile:
     witness rows x_j (dp-times) F on the dropped columns) has been divided
     out.  By the complementary-minor identity this quotient is the same
     for every usable chart; ``chart`` records the one that computed it,
-    and ``roots`` are found once, on it.  Its roots are the pencil
+    and ``roots`` are found once, on it.  Every chart minor is read from
+    each node's kernel through that identity, so the verifying
+    chart of the walk checks the identity, not an independent
+    computation; the independent check is one direct 120 x 120 minor of
+    the accepted chart at the first node.  Its roots are the pencil
     parameters u (with v = 1) meeting the divisor of non-generic
     annihilator squares.  At a simple crossing
     through a generic divisor point the square of the annihilator spans
@@ -561,12 +565,33 @@ def _chart_columns(chart: tuple, n: int) -> list[int]:
     return cols
 
 
+_NODE_BATCH = 32  # nodes eliminated as one stack; bounds its working memory
+
+
 def _collect_node_data(F1, F2, sections, nodes, p):
-    """Per node u: the 120 x 126 product matrix M(u) of the section values
-    and the 6 x 126 witness rows W(u) of the fiber cubic u*F1 + F2, both
-    reduced mod p.  Every chart reads its minors from these: the raw
-    determinant drops the chart's six columns from M(u), the unit
-    determinant keeps exactly those columns of W(u)."""
+    """Per node u: the kernel data of the 120 x 126 product matrix M(u) of
+    the section values, and the 6 x 126 witness rows W(u) of the fiber
+    cubic u*F1 + F2, all mod p.
+
+    Returns M(u_0), built directly from the section values at the first
+    node (the only M(u) formed; the spot check reads it), and per node
+    (u, d, eps(F), K, W(u)): the kernel K of M(u), which is the identity
+    on the columns F, the sign ``linalg.shuffle_sign`` of F, and
+    d = det M[:, F^c] (0 where M drops rank, and then every minor is 0).
+    By the complementary-minor identity the chart minor dropping the
+    columns S is eps(S) * eps(F) * d * det K[:, S]; the chart unit keeps
+    exactly those columns of W(u).
+
+    M(u) = M0 + u*M1 + u^2*M2, and the rows where M1 and M2 vanish (the
+    products of two constant sections) do not move with u.  Those rows C
+    are eliminated once, giving their pivot columns Pc and their kernel KC,
+    the identity on the other columns Fc.  For the moving rows V(u),
+    ker M(u) = ker(V(u) KC^T) KC, and N(u) = V(u) KC^T = N0 + u*N1 + u^2*N2
+    comes from three fixed products.  The N(u) of a batch of nodes are
+    eliminated as one stack, giving each node's d' = det N[:, P'], pivots
+    P' and kernel K'.  With Q = Pc and Fc[P'], the Schur complement gives
+    det M[:, Q] = eps(rows of C) * det C[:, Pc] * eps(Pc within Q) * d'.
+    """
     n = F1.n
     f1v, f2v = linalg.to_fp_matrix(
         [coefficient_vector(F1, 3), coefficient_vector(F2, 3)], p)
@@ -575,19 +600,45 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     b_mat = linalg.to_fp_matrix([s[1] for s in sections], p)
     flat_map = shift_table(n, 2, 2).reshape(-1)
     dim4 = dim_degree(n, 4)
-    data = []
-    for u in nodes:
-        vals = (a_mat * u + b_mat) % p
+
+    def products(x, y):
+        # row (i, j), i <= j: degree-4 coordinates of x_i * y_j
         rows = np.zeros((120, dim4), dtype=np.int64)
         r = 0
         for i in range(15):
             for j in range(i, 15):
-                outer = (vals[i][:, None] * vals[j][None, :]).reshape(-1)
+                outer = (x[i][:, None] * y[j][None, :]).reshape(-1)
                 np.add.at(rows[r], flat_map, outer)
                 r += 1
-        rows %= p
-        data.append((u, rows, (w1 * u + w2) % p))
-    return data
+        return rows % p
+
+    first_vals = (a_mat * nodes[0] + b_mat) % p
+    first = products(first_vals, first_vals)
+    m0, m2 = products(b_mat, b_mat), products(a_mat, a_mat)
+    m1 = (products(a_mat, b_mat) + products(b_mat, a_mat)) % p
+    fixed = ~(m1.any(axis=1) | m2.any(axis=1))
+    ((d_fixed, piv_fixed, k_fixed),) = linalg.pivot_kernels_fp(
+        m0[fixed][None], p)
+    piv_fixed = np.array(piv_fixed, dtype=np.int64)
+    free_fixed = np.setdiff1d(np.arange(dim4), piv_fixed)
+    n0, n1, n2 = (linalg.matmul_fp(mk[~fixed], k_fixed.T, p)
+                  for mk in (m0, m1, m2))
+    fixed_factor = linalg.shuffle_sign(np.flatnonzero(fixed)) * d_fixed
+    data = []
+    for start in range(0, len(nodes), _NODE_BATCH):
+        batch = nodes[start:start + _NODE_BATCH]
+        us = np.array(batch, dtype=np.int64)[:, None, None]
+        stack = (n0 + us * n1 + us * us % p * n2) % p
+        for u, (d, pivots, kernel) in zip(batch,
+                                          linalg.pivot_kernels_fp(stack, p)):
+            q = np.sort(np.concatenate([piv_fixed, free_fixed[pivots]]))
+            d_full = (fixed_factor * d * linalg.shuffle_sign(
+                np.searchsorted(q, piv_fixed))) % p
+            free = np.delete(free_fixed, pivots)
+            data.append((u, d_full, linalg.shuffle_sign(free),
+                         linalg.matmul_fp(kernel, k_fixed, p),
+                         (w1 * u + w2) % p))
+    return first, data
 
 
 def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
@@ -604,12 +655,19 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     itself is never sampled — only the interpolant speaks about it, which
     is the point: the annihilator there may jump.
 
-    The family, the nodes and the per-node product matrices and witness
-    rows are built once; every chart is then evaluated on that shared
-    data.  The determinant comes from ``chart_cubic`` when given, else
-    from the first usable cubic monomial.  The first usable monomial after
-    it, in cyclic monomial order, verifies it: the two monic determinants
-    must be equal.  Roots are then found once, on the accepted one.
+    The family, the nodes and the per-node data are built once: the rows
+    of the product matrix M(u) that do not move with u are eliminated once
+    per prime, the rest at all nodes together in one stacked elimination
+    (see :func:`_collect_node_data`), and every chart reads its minor from
+    the resulting 6 x 126 kernel by the complementary-minor identity
+    (Grassmann duality Gr(120,126) = Gr(6,126)), a 6 x 6 determinant.  The determinant comes from ``chart_cubic`` when given,
+    else from the first usable cubic monomial.  The first usable monomial
+    after it, in cyclic monomial order, verifies it: the two monic
+    determinants must be equal.  Both read the same kernels, so this
+    checks the identity rather than the elimination; the independent
+    check is a spot check, one direct 120 x 120 determinant of the
+    accepted chart at the first node compared with the identity's value.
+    Roots are then found once, on the accepted determinant.
 
     Args:
         chart_cubic: optional degree-3 exponent tuple or monomial Poly.
@@ -617,12 +675,14 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
             as u*a + v*b with constants written (None, q); the family must
             annihilate the pencil identically.  Computed by kernel
             continuation when absent.
-        p: working prime (required; profiles are per-prime objects).
+        p: working prime (required; profiles are per-prime objects),
+            with at least 16 * movers + 5 nonzero residues to sample.
 
     Raises:
-        ValueError: an unusable explicit chart, no usable chart at all,
-            charts that disagree, or a family that does not move or does
-            not annihilate the pencil.
+        ValueError: a prime too small for the nodes, an unusable explicit
+            chart, no usable chart at all, charts that disagree, a spot
+            check that disagrees with the identity, or a family that does
+            not move or does not annihilate the pencil.
     """
     if p is None:
         raise ValueError("pencil profiles are computed over a prime field")
@@ -650,6 +710,10 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
         raise ValueError("pencil does not move (all sections constant)")
     bound = 16 * movers
 
+    if p - 1 < bound + 5:
+        raise ValueError(
+            "prime %d has %d nonzero nodes; the pencil needs %d"
+            % (p, p - 1, bound + 5))
     rng = seeded_rng(seed, "pencil:%d" % p)
     nodes: list[int] = []
     seen: set[int] = set()
@@ -658,20 +722,26 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
         if u not in seen:
             seen.add(u)
             nodes.append(u)
-    node_data = _collect_node_data(F1, F2, sections, nodes, p)
-    dim4 = dim_degree(n, 4)
+    first_matrix, node_data = _collect_node_data(F1, F2, sections, nodes, p)
+
+    def raw_minor(node, dropped):
+        # det M(u)[:, dropped^c] by the complementary-minor identity
+        _, d, sign_free, kernel, _ = node
+        if not d:
+            return 0
+        sign = linalg.shuffle_sign(dropped) * sign_free
+        return sign * d * linalg.det_fp(kernel[:, dropped], p) % p
 
     def chart_determinant(chart_expo: tuple):
         chart_cols = _chart_columns(chart_expo, n)
-        dropped = set(chart_cols)
-        keep = [c for c in range(dim4) if c not in dropped]
-        unit_vals = [(u, linalg.det_fp(witness[:, chart_cols], p))
-                     for u, _, witness in node_data]
+        dropped = sorted(chart_cols)
+        unit_vals = [(node[0], linalg.det_fp(node[4][:, chart_cols], p))
+                     for node in node_data]
         dunit = linalg.interpolate(unit_vals, 6, p)
         if not dunit:
             raise ValueError("chart unit vanishes identically (bad chart)")
-        raw_vals = [(u, linalg.det_fp(rows[:, keep], p))
-                    for u, rows, _ in node_data]
+        raw_vals = [(node[0], raw_minor(node, dropped))
+                    for node in node_data]
         draw = linalg.interpolate(raw_vals, bound, p)
         if not draw:
             raise ValueError("chart minor identically zero (degenerate chart)")
@@ -684,6 +754,12 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
 
     chart, (monic, raw_degree, unit_degree) = _default_chart(
         chart_determinant, n, chart)
+    dropped = sorted(_chart_columns(chart, n))
+    direct = linalg.det_fp(np.delete(first_matrix, dropped, axis=1), p)
+    if direct != raw_minor(node_data[0], dropped):
+        raise ValueError(
+            "chart %s minor at u = %d disagrees with its kernel identity"
+            % (chart, node_data[0][0]))
     roots = linalg.roots_fp(monic, p, seeded_rng(seed, "roots:%d" % p))
     return PencilProfile(chart, p, monic, raw_degree, unit_degree, roots,
                          len(monic) - 1)
@@ -698,10 +774,14 @@ def _default_chart(fn, n: int, chart: tuple | None):
     ``chart`` (which must be usable), or else the first usable monomial,
     gives the determinant; the first other usable monomial must give the
     same monic determinant, as the complementary-minor identity says every
-    usable chart does.  The walk starts just after an explicit chart, so a
-    chart carried over from an earlier prime is verified by the monomial
-    that verified it there, without first retrying the unusable ones
-    before it.  A lone usable chart is accepted unverified.
+    usable chart does.  In the pencil both charts read their minors from
+    the same per-node kernels through that identity, so the second chart
+    checks the identity and the chart arithmetic; the spot check of one
+    direct minor in :func:`pencil_profile` is the independent one.  The
+    walk starts just after an explicit chart, so a chart carried over from
+    an earlier prime is verified by the monomial that verified it there,
+    without first retrying the unusable ones before it.  A lone usable
+    chart is accepted unverified.
     """
     monos = monomials(n, 3)
     start = 0 if chart is None else monos.index(chart) + 1

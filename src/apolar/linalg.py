@@ -10,10 +10,18 @@ with ``rref``, ``rank`` and ``kernel`` the field switch callers use.  The
 ``_fp`` entry points return int64 arrays, the ``_q`` ones lists of Fraction
 rows.
 
-Determinants (:func:`det_fp`; :func:`det_bareiss` is the integer reference
-it is tested against), univariate interpolation (Newton divided
-differences) and roots (Yun's square-free decomposition, then
-Cantor-Zassenhaus) work over F_p only.
+Determinants and pivot kernels run one forward elimination
+(:func:`pivot_kernels_fp`; :func:`det_fp` is its square case and
+:func:`det_bareiss` the integer reference it is tested against).  It delays
+the modular reduction of the trailing block (Dumas-Giorgi-Pernet, FFLAS):
+a column is reduced when it becomes the pivot column and a row when it
+becomes the pivot row, so the unreduced entries stay below
+min(nrows, ncols) * (p-1)^2 + p.  That must stay below 2^63, which for
+p < 2^26 allows 2,048 rows or columns; larger shapes are refused.  The
+kernel it returns, the identity on the free columns, gives every maximal
+minor through the complementary-minor identity (see :func:`shuffle_sign`).
+Univariate interpolation (Newton divided differences) and roots (Yun's
+square-free decomposition, then Cantor-Zassenhaus) work over F_p only.
 
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
@@ -142,28 +150,108 @@ def kernel_fp(mat, p: int) -> np.ndarray:
     return _kernel(field_array(mat, p), p)
 
 
+def pivot_kernels_fp(stack, p: int) -> list:
+    """One forward elimination over F_p with delayed reduction, run on a
+    stack of equally shaped matrices at once.
+
+    Returns, per matrix M of the stack, (d, pivots, kernel): d =
+    det M[:, pivots] when the rows of M are independent and 0 otherwise,
+    the greedy pivot columns, and the right kernel basis that is the
+    identity on the free columns (one int64 row per free column, in
+    increasing order).  Column c is reduced mod p only when it becomes the
+    pivot column and a row only when it becomes the pivot row; the trailing
+    block is updated without ``% p``, so its entries stay below
+    min(nrows, ncols) * (p-1)^2 + p in absolute value.  The matrices share
+    every numpy step while their pivot columns agree; a column that is a
+    pivot for some of them and free for the others splits the stack.
+    """
+    shape = np.shape(stack)
+    if len(shape) != 3:
+        raise ValueError("expected a stack of matrices")
+    if min(shape[1:]) * (p - 1) ** 2 + p >= 2 ** 63:
+        raise ValueError("elimination too large for int64 delayed reduction")
+    m = to_fp_matrix(stack, p)
+    batch, nrows, ncols = m.shape
+    out: list = [None] * batch
+    # each group: members, their working arrays, next column, pivot
+    # columns so far, determinant so far, pivot inverses so far
+    groups = [(np.arange(batch), m, 0, [], np.ones(batch, dtype=np.int64), [])]
+    while groups:
+        members, m, c0, pivots, d, inverses = groups.pop()
+        r = len(pivots)
+        for c in range(c0, ncols):
+            if r == nrows:
+                break
+            m[:, r:, c] %= p
+            nonzero = m[:, r:, c] != 0
+            has = nonzero.any(axis=1)
+            if not has.all():
+                if not has.any():
+                    continue
+                rest = ~has
+                groups.append((members[rest], m[rest], c + 1, list(pivots),
+                               d[rest], [inv[rest] for inv in inverses]))
+                members, m, d, nonzero = (members[has], m[has], d[has],
+                                          nonzero[has])
+                inverses = [inv[has] for inv in inverses]
+            lead = nonzero.argmax(axis=1)
+            swap = lead.nonzero()[0]
+            if swap.size:
+                lead = r + lead[swap]
+                top = m[swap, lead]
+                m[swap, lead] = m[swap, r]
+                m[swap, r] = top
+                d[swap] = -d[swap]
+            m[:, r, c:] %= p
+            piv = m[:, r, c]
+            d = d * piv % p
+            inverses.append(np.array([pow(x, p - 2, p) for x in piv.tolist()],
+                                     dtype=np.int64))
+            factors = m[:, r + 1:, c] * inverses[-1][:, None] % p
+            m[:, r + 1:, c + 1:] -= factors[:, :, None] * m[:, r, None, c + 1:]
+            pivots.append(c)
+            r += 1
+        is_pivot = set(pivots)
+        free = [c for c in range(ncols) if c not in is_pivot]
+        kernel = np.zeros((len(members), len(free), ncols), dtype=np.int64)
+        if free:
+            # back substitution for the free columns only; entries of a row
+            # left of its pivot are never read, free-column ones are 0 mod p
+            upper = m[:, :r, pivots]
+            sol = -(m[:, :r, free] % p)
+            for i in range(r - 1, -1, -1):
+                tail = upper[:, i, None, i + 1:] @ sol[:, i + 1:]
+                acc = sol[:, i] - tail[:, 0]
+                sol[:, i] = acc % p * inverses[i][:, None] % p
+            kernel[:, range(len(free)), free] = 1
+            kernel[:, :, pivots] = sol.transpose(0, 2, 1)
+        for k, member in enumerate(members):
+            out[member] = (int(d[k]) if r == nrows else 0, list(pivots),
+                           kernel[k])
+    return out
+
+
+def shuffle_sign(cols) -> int:
+    """eps(T) = (-1)^(sum_k (t_k - k)) over the sorted columns t_k of T,
+    counted from 0: the sign of the permutation that moves them to the
+    front, in order.
+
+    For a full-row-rank M with (d, pivots, K) from :func:`pivot_kernels_fp`
+    and free columns F, the minor dropping any |F| columns S is
+    det M[:, S^c] = eps(S) * eps(F) * d * det K[:, S] (complementary
+    minors of a row space and its annihilator).  The same holds for any
+    kernel basis K that is the identity on some columns F, with
+    d = det M[:, F^c]."""
+    cols = sorted(int(c) for c in cols)
+    return -1 if (sum(cols) - len(cols) * (len(cols) - 1) // 2) % 2 else 1
+
+
 def det_fp(mat, p: int) -> int:
-    m = to_fp_matrix(mat, p).copy()
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
+    """Determinant mod p: the square case of :func:`pivot_kernels_fp`."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("determinant of a non-square matrix")
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(m[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            m[[c, i]] = m[[i, c]]
-            det = -det
-        piv = int(m[c, c])
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        col = m[c + 1:, c]
-        if np.any(col):
-            factors = col * inv % p
-            m[c + 1:, c:] = (m[c + 1:, c:] - np.outer(factors, m[c, c:])) % p
-    return det % p
+    return pivot_kernels_fp(mat[None], p)[0][0]
 
 
 def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.ndarray:

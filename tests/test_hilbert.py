@@ -444,6 +444,79 @@ def test_chart_walk_resumes_after_the_carried_chart(monkeypatch):
     assert evaluations == [19, 11, 11]
 
 
+def test_pencil_report_eliminates_each_node_once(monkeypatch):
+    # every chart reads its minors from the node kernels; the only
+    # 120 x 120 determinants left are the spot checks, one per prime
+    shapes = []
+    orig_det, orig_pivot = linalg.det_fp, linalg.pivot_kernels_fp
+
+    def det_counted(mat, p):
+        shapes.append(("det", np.shape(mat)))
+        return orig_det(mat, p)
+
+    def pivot_counted(stack, p):
+        shapes.append(("pivot", np.shape(stack)))
+        return orig_pivot(stack, p)
+
+    monkeypatch.setattr(linalg, "det_fp", det_counted)
+    monkeypatch.setattr(linalg, "pivot_kernels_fp", pivot_counted)
+    pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
+    assert shapes.count(("det", (120, 120))) == 3
+    # per prime: the 105 rows of two constant sections once, then the 21
+    # nodes' 15 moving rows reduced to the 21 remaining columns, as a stack
+    # (det_fp runs the square stacks of one)
+    pivots = [shape for kind, shape in shapes
+              if kind == "pivot" and shape[1] != shape[2]]
+    assert pivots == [(1, 105, 126), (21, 15, 21)] * 3
+
+
+@pytest.mark.parametrize("pair", ["worked", "generic"])
+def test_node_kernel_gives_every_chart_minor(pair):
+    # each node in turn goes first, so its M(u) is built directly and its
+    # minors are compared with the kernel data of the stacked elimination
+    if pair == "worked":
+        F, G = _fixture(), _cube()
+    else:
+        F, G = random_cubic(seed=21, p=P), random_cubic(seed=22, p=P)
+    sections = hilbert._section_pairs(pencil_family(F, G, P), 6)
+    nodes = [12345, 777, 4242424]
+    for k in range(len(nodes)):
+        order = nodes[k:] + nodes[:k]
+        first, data = hilbert._collect_node_data(F, G, sections, order, P)
+        u, d, sign_free, kern, _ = data[0]
+        assert u == nodes[k] and d != 0 and kern.shape == (6, 126)
+        assert not linalg.matmul_fp(first, kern.T, P).any()
+        for chart in monomials(6, 3)[:25]:
+            dropped = sorted(hilbert._chart_columns(chart, 6))
+            identity = (linalg.shuffle_sign(dropped) * sign_free * d
+                        * linalg.det_fp(kern[:, dropped], P)) % P
+            direct = linalg.det_fp(np.delete(first, dropped, axis=1), P)
+            assert direct == identity
+
+
+def test_spot_check_catches_a_wrong_node_kernel(monkeypatch):
+    # the direct minor at the first node is independent of the kernels
+    orig = hilbert._collect_node_data
+
+    def perturbed(*args):
+        first, data = orig(*args)
+        first = first.copy()
+        first[0, 0] = (first[0, 0] + 1) % P
+        return first, data
+
+    monkeypatch.setattr(hilbert, "_collect_node_data", perturbed)
+    with pytest.raises(ValueError, match="disagrees with its kernel identity"):
+        pencil_profile(_fixture(), _cube(), (0, 0, 0, 0, 0, 3), p=P, seed=2)
+
+
+def test_pencil_needs_enough_nonzero_nodes():
+    # the worked pair samples 21 distinct nonzero nodes; F_13 has 12
+    with pytest.raises(ValueError, match="prime 13 has 12 nonzero nodes"):
+        pencil_profile(_fixture(), _cube(), p=13)
+    with pytest.raises(ValueError, match="the pencil needs 21"):
+        pencil_report(_fixture(), _cube(), primes=[13])
+
+
 def test_chart_search_without_usable_chart():
     def unusable(chart):
         raise ValueError("chart minor identically zero (degenerate chart)")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -129,6 +130,89 @@ def test_det_rejects_non_square():
         linalg.det_bareiss([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         linalg.det_fp([[1, 2, 3], [4, 5, 6]], P)
+
+
+# square integer matrices up to 24 x 24 with entries up to +-P; a repeated
+# row makes some singular.  P is the largest prime below 2^26, so the
+# delayed reduction runs close to its word-size bound.
+word_size_squares = st.integers(1, 24).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-P, P), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_size_squares)
+def test_det_fp_matches_bareiss_at_word_size(case):
+    m, i, j, repeat = case
+    if repeat:
+        m[i] = list(m[j])
+    assert linalg.det_fp(m, P) == linalg.det_bareiss(m) % P
+
+
+def test_delayed_reduction_guard():
+    # 2049 * (P - 1)^2 + P passes 2^63; the guard runs before any
+    # conversion or elimination, so a small-dtype zeros matrix is enough
+    big = np.zeros((2049, 2049), dtype=np.int8)
+    with pytest.raises(ValueError, match="delayed reduction"):
+        linalg.pivot_kernels_fp(big[None], P)
+    with pytest.raises(ValueError, match="delayed reduction"):
+        linalg.det_fp(big, P)
+
+
+@pytest.mark.parametrize("rows,extra", [(1, 1), (2, 3), (3, 2), (4, 3), (5, 1)])
+def test_complementary_minors_from_the_pivot_kernel(rows, extra):
+    # det M[:, S^c] == eps(S) eps(F) d det K[:, S] for every S, where K
+    # annihilates M and is the identity on the free columns F
+    ncols = rows + extra
+    rng = random.Random(rows * 10 + extra)
+    mat = np.array([[rng.randrange(P) for _ in range(ncols)]
+                    for _ in range(rows)], dtype=np.int64)
+    # a zero column forces a free column that is not at the end
+    mat[:, rng.randrange(rows)] = 0
+    ((d, pivots, kern),) = linalg.pivot_kernels_fp(mat[None], P)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(pivots) == rows and d != 0
+    assert not linalg.matmul_fp(mat, kern.T, P).any()
+    assert np.array_equal(kern[:, free], np.eye(extra, dtype=np.int64))
+    for dropped in itertools.combinations(range(ncols), extra):
+        keep = [c for c in range(ncols) if c not in dropped]
+        identity = (linalg.shuffle_sign(dropped) * linalg.shuffle_sign(free)
+                    * d * linalg.det_fp(kern[:, list(dropped)], P)) % P
+        assert linalg.det_fp(mat[:, keep], P) == identity
+
+
+def test_pivot_kernels_of_a_stack_match_each_matrix_alone():
+    # zero columns and repeated rows make the members' pivot columns
+    # differ, which splits the stack part way through
+    rng = random.Random(5)
+    stack = np.array([[[rng.randrange(P) for _ in range(7)] for _ in range(4)]
+                      for _ in range(6)], dtype=np.int64)
+    stack[1, :, 0] = 0
+    stack[2, :, 3] = 0
+    stack[3, 2] = stack[3, 0]
+    stack[4, :, :2] = 0
+    together = linalg.pivot_kernels_fp(stack, P)
+    for mat, (d, pivots, kern) in zip(stack, together):
+        ((d1, pivots1, kern1),) = linalg.pivot_kernels_fp(mat[None], P)
+        assert (d, pivots) == (d1, pivots1)
+        assert np.array_equal(kern, kern1)
+        assert not linalg.matmul_fp(mat, kern.T, P).any()
+        if d:
+            assert d == linalg.det_bareiss(mat[:, pivots].tolist()) % P
+    assert [len(pivots) for _, pivots, _ in together] == [4, 4, 4, 3, 4, 4]
+    assert together[1][1][0] == 1 and together[4][1][0] == 2
+
+
+def test_pivot_kernel_of_a_rank_deficient_matrix():
+    mat = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 5]], dtype=np.int64)
+    ((d, pivots, kern),) = linalg.pivot_kernels_fp(mat[None], P)
+    assert d == 0
+    assert pivots == [0, 1]
+    assert kern.shape == (2, 4)
+    assert not linalg.matmul_fp(mat, kern.T, P).any()
+    assert linalg.det_fp(mat[:, :3], P) == 0
 
 
 def test_restrict_kernel_matches_stacked_kernel():
