@@ -8,6 +8,12 @@ coordinate complement of the degree-(d-r) annihilator slice (the pairing of
 monomial bases is diagonal).  Everything here is exact: Fractions over the
 rationals, int64 residues when a prime is supplied; :mod:`linalg` picks
 the field from ``p``.
+
+Every product and contraction matrix of the package comes from this
+module, indexed through :func:`shift_table`: products of operator forms
+from one scatter (:func:`_products`), contractions sigma ∘ f from one
+gather, catalecticant by catalecticant (:func:`catalecticant`,
+:func:`_contraction_matrix`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .poly import (
     Poly,
     Scalar,
     coefficient_vector,
-    contract,
     dim_degree,
     graded_parts,
     monomial_index,
@@ -43,6 +48,31 @@ def shift_table(n_vars: int, r: int, s: int) -> np.ndarray:
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
             out[i, j] = idx[tuple(x + y for x, y in zip(a, b))]
+    return out
+
+
+def _products(x: np.ndarray, y: np.ndarray | None, a: int, b: int,
+              n_vars: int) -> np.ndarray:
+    """Degree-(a+b) coefficients of every product x_i * y_j, with shape
+    (len x, len y, dim_{a+b}).
+
+    ``x`` holds degree-a coefficient rows and ``y`` degree-b rows, or None
+    for the monomial basis of S_b.  Each nonzero column si of x scatters
+    x[:, si] * y into the columns of the products with monomial si.  The
+    dtype is kept: object arrays of exact scalars stay exact, int64
+    residues are left unreduced (an entry sums at most dim_a terms below
+    2^52 each: below 21 * 2^52 for a = 2 and 56 * 2^52 for a = 3, inside
+    int64); the caller reduces them.
+    """
+    table = shift_table(n_vars, a, b)
+    ny = table.shape[1] if y is None else len(y)
+    dtype = x.dtype if y is None else np.result_type(x, y)
+    out = np.zeros((len(x), ny, dim_degree(n_vars, a + b)), dtype=dtype)
+    for si in np.flatnonzero(x.any(axis=0)):
+        if y is None:
+            out[:, np.arange(ny), table[si]] += x[:, si, None]
+        else:
+            out[:, :, table[si]] += x[:, si, None, None] * y[None]
     return out
 
 
@@ -148,17 +178,24 @@ def _le_vector(f: Poly, dmax: int) -> list[Scalar]:
     return vec
 
 
-def _contraction_rows(f: Poly) -> list[list[Scalar]]:
-    """Coefficient rows, on the monomials of degrees 0..3, of the nonzero
-    contractions of f by the operator monomials of degree at most 3; they
-    span the contraction module S ∘ f of a polynomial of degree <= 3."""
-    rows = []
-    for r in range(4):
-        for se in monomials(f.n, r):
-            g = contract(Poly.monomial("S", f.n, se), f)
-            if not g.is_zero():
-                rows.append(_le_vector(g, 3))
-    return rows
+def _contraction_matrix(f: Poly, max_op_degree: int, p: int | None = None):
+    """Matrix of sigma -> sigma ∘ f for a polynomial f of degree <= 3.
+
+    Rows are the operator monomials of degrees 0..max_op_degree, columns
+    the monomials of degrees 0..3, each in concatenated canonical order.
+    Block (r, s) is the catalecticant gather of the degree-(r+s) part of f
+    and is zero when r + s > 3.  A working array of
+    :func:`linalg.field_array`.
+    """
+    if not f.is_zero() and f.degree() > 3:
+        raise ValueError("contraction matrices need degree <= 3")
+    n = f.n
+    vecs = [linalg.field_array([coefficient_vector(f, k)], p)[0]
+            for k in range(4)]
+    return np.block([[vecs[r + s][shift_table(n, r, s)] if r + s <= 3 else
+                      np.zeros((dim_degree(n, r), dim_degree(n, s)),
+                               dtype=vecs[0].dtype)
+                      for s in range(4)] for r in range(max_op_degree + 1)])
 
 
 def apolar_length(f: Poly, p: int | None = None) -> int:
@@ -169,9 +206,8 @@ def apolar_length(f: Poly, p: int | None = None) -> int:
         raise ValueError("apolar_length acts on the P ring")
     if f.is_zero():
         return 0
-    if f.degree() > 3:
-        raise ValueError("apolar_length expects degree <= 3")
-    return linalg.rank(_contraction_rows(f), p)
+    mat = _contraction_matrix(f, 3, p)
+    return linalg.rank(mat[np.flatnonzero(mat.any(axis=1))], p)
 
 
 def scheme_length(f: Poly, p: int | None = None) -> int:
@@ -197,20 +233,12 @@ def dual_socle_generator(quadrics: list[Poly], n_vars: int = 6,
         ValueError: when the common perp in degree 3 is not 1-dimensional
             (degenerate input collections are the caller's cue to resample).
     """
-    rows = []
-    table = shift_table(n_vars, 2, 1)
-    dim1 = dim_degree(n_vars, 1)
-    dim3 = dim_degree(n_vars, 3)
     for q in quadrics:
         if q.ring != "S" or q.is_zero() or q.degree() != 2 or q.n != n_vars:
             raise ValueError("dual_socle_generator expects S-ring quadrics")
-        qvec = coefficient_vector(q, 2)
-        for tau in range(dim1):
-            row: list[Scalar] = [0] * dim3
-            for si, c in enumerate(qvec):
-                if c:
-                    row[table[si, tau]] += c
-            rows.append(row)
+    qs = np.array([coefficient_vector(q, 2) for q in quadrics], dtype=object)
+    rows = _products(qs, None, 2, 1, n_vars).reshape(
+        -1, dim_degree(n_vars, 3))
     kern = linalg.kernel(rows, p)
     if len(kern) != 1:
         raise ValueError(
@@ -239,13 +267,9 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
     w = tuple(w)
     if len(w) != f.n:
         raise ValueError("support point has wrong length")
-    rows = []
-    for r in range(5):
-        for se in monomials(f.n, r):
-            sigma = Poly.monomial("S", f.n, se)
-            rows.append(_le_vector(contract(sigma, f), 3))
+    mat = _contraction_matrix(f, 4, p)
     # operator-coefficient combinations live in the left kernel
-    kern = linalg.kernel(list(zip(*rows)), p)
+    kern = linalg.kernel(mat.T, p)
     gens = []
     offs, _ = _le_offsets(f.n, 4)
     for vec in kern:
@@ -257,8 +281,8 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
                     terms[expo] = c
         gens.append(substitute_shift(Poly("S", f.n, terms), w))
     # rank-nullity: the contractions span a space of dimension
-    # len(rows) - len(kern), which is the apolar length
-    return TranslatedApolar(gens, len(rows) - len(kern), w)
+    # len(mat) - len(kern), which is the apolar length
+    return TranslatedApolar(gens, len(mat) - len(kern), w)
 
 
 @dataclass

@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     p_con = subs.add_parser("construct",
                             help="generate cubics from the stock families")
     p_con.add_argument("kind", choices=["gr26", "waring", "dvap", "sum-cubes"])
-    p_con.add_argument("--points", type=int, default=9, metavar="K",
+    p_con.add_argument("--points", type=_positive_int, default=9, metavar="K",
                        help="number of dp-cubes for 'waring' (default 9)")
     p_con.add_argument("--input", metavar="SEXTIC",
                        help="ternary sextic in x0,x1,x2 for 'dvap' "

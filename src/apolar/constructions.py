@@ -21,16 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
-from .apolarity import dual_socle_generator, is_nondegenerate_cubic
+from .apolarity import _products, dual_socle_generator, is_nondegenerate_cubic
 from .linalg import seeded_rng
-from .poly import (
-    Poly,
-    coefficient_vector,
-    monomials,
-    mul_s,
-    waring_cube,
-)
+from .poly import Poly, monomials, poly_from_vector, waring_cube
 
 _PAIRS = [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
@@ -70,19 +66,6 @@ def pluecker_quadrics() -> list[Poly]:
     return quads
 
 
-def _substitute_linear(f: Poly, lin: list[Poly]) -> Poly:
-    """Ordinary substitution of a linear form for each variable of f."""
-    n = lin[0].n
-    out = Poly.zero("S", n)
-    for expo, c in f.terms.items():
-        prod = Poly("S", n, {(0,) * n: c})
-        for var, e in enumerate(expo):
-            for _ in range(e):
-                prod = mul_s(prod, lin[var])
-        out = out + prod
-    return out
-
-
 @dataclass
 class SectionSample:
     """A Grassmannian section: the cubic, the 15 x 6 substitution matrix,
@@ -104,27 +87,24 @@ def gr26_section_cubic(seed: int = 0, p: int | None = None,
     dual socle generator is returned.  Degenerate draws are resampled up
     to ``attempts`` times.
     """
-    base = pluecker_quadrics()
+    # each relation as its terms (i, j, sign): sign * p_i * p_j
+    relations = [[(*np.repeat(np.arange(15), e), c)
+                  for e, c in q.terms.items()] for q in pluecker_quadrics()]
     rng = seeded_rng(seed, "gr26")
     for _ in range(attempts):
         matrix = [[_coeff(rng, p) for _ in range(6)] for _ in range(15)]
-        lin = []
-        for row in matrix:
-            terms = {}
-            for i, c in enumerate(row):
-                if c:
-                    e = [0] * 6
-                    e[i] = 1
-                    terms[tuple(e)] = c
-            lin.append(Poly("S", 6, terms))
-        if any(form.is_zero() for form in lin):
+        lin = np.array(matrix, dtype=np.int64)
+        if not lin.any(axis=1).all():
             continue
-        subbed = [_substitute_linear(q, lin) for q in base]
-        if any(q.is_zero() for q in subbed):
+        # the substituted quadrics, in integers left unreduced
+        prods = _products(lin, lin, 1, 1, 6)
+        rows = [sum(c * prods[i, j] for i, j, c in rel).tolist()
+                for rel in relations]
+        if not all(any(row) for row in rows):
             continue
-        rows = [coefficient_vector(q, 2) for q in subbed]
         if linalg.rank(rows, p) != 15:
             continue
+        subbed = [poly_from_vector(row, "S", 6, 2) for row in rows]
         try:
             F = dual_socle_generator(subbed, 6, p)
         except ValueError:

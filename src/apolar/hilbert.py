@@ -16,11 +16,16 @@ Conventions used throughout:
   a, b >= 2, where I_a is the degree-a annihilator slice (all of S_a once
   a exceeds 3);
 * the six vectors x_i (dp-times) F always lie in the degree-4 perp, which
-  is why 6 is the floor and why chart minors drop six columns at a time.
+  is why 6 is the floor and why chart minors drop six columns at a time;
+* every product matrix here (the product blocks, the 120 x 126 matrix of
+  :func:`ev_product_matrix`, the pencil's M(u)) comes from the one product
+  scatter ``apolarity._products``, and the contraction modules from
+  ``apolarity._contraction_matrix``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +34,8 @@ import numpy as np
 from . import linalg
 from .linalg import seeded_rng
 from .apolarity import (
-    _contraction_rows,
+    _contraction_matrix,
+    _products,
     ann_degree,
     catalecticant,
     hilbert_function,
@@ -44,7 +50,6 @@ from .poly import (
     is_prime,
     monomial_index,
     monomials,
-    mul_s,
     poly_from_vector,
 )
 
@@ -107,27 +112,6 @@ def draw_primes(n_primes: int, seed: int, *forms: Poly) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def _product_block(pvec: np.ndarray, a: int, b: int, basis_b, n: int):
-    """Rows spanning pvec * I_b inside degree a+b, for one fixed operator.
-
-    ``pvec`` is a row of a working array (:func:`linalg.field_array`) and
-    ``basis_b`` a working array of a basis of I_b, or None when I_b is the
-    full S_b.  Each nonzero coefficient c of pvec adds c * basis_b into the
-    columns of the products with its monomial; one body serves both fields.
-    Residues are left unreduced (at most 56 terms below 2^52 each, so they
-    stay inside int64); every consumer reduces them mod p.
-    """
-    table = shift_table(n, a, b)
-    nrows = table.shape[1] if basis_b is None else basis_b.shape[0]
-    block = np.zeros((nrows, dim_degree(n, a + b)), dtype=pvec.dtype)
-    for si in np.flatnonzero(pvec):
-        if basis_b is None:
-            block[np.arange(nrows), table[si]] += pvec[si]
-        else:
-            block[:, table[si]] += pvec[si] * basis_b
-    return block
-
-
 def _witness_rows(fvec: np.ndarray, n: int) -> np.ndarray:
     """The six witnesses x_j (dp-times) F in degree-4 coordinates, one row
     per j, from the cubic coefficient vector ``fvec`` of F.
@@ -158,7 +142,7 @@ def _product_blocks(d: int, slices):
         basis_b = None if B.dim == dim_degree(n, b) else \
             linalg.field_array(B.rows, slices.p)
         for pvec in linalg.field_array(slices(a).rows, slices.p):
-            yield _product_block(pvec, a, b, basis_b, n)
+            yield _products(pvec[None], basis_b, a, b, n)[0]
 
 
 @dataclass
@@ -229,14 +213,17 @@ def _square_perp_basis_q(F, d, slices):
     if mod_dim == 0:
         return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
     if d == 4 and mod_dim == n:
-        prods = ev_product_matrix(
-            [poly_from_vector(r, "S", n, 2) for r in slices(2).rows], F)
+        # each I_2 row times the lcm of its denominators: the same span,
+        # so the products and the witness check stay in integers
+        quadrics = []
+        for row in slices(2).rows:
+            scale = math.lcm(*(Fraction(c).denominator for c in row))
+            quadrics.append(poly_from_vector(
+                [int(c * scale) for c in row], "S", n, 2))
+        prods = ev_product_matrix(quadrics, F)
         witness = _witness_rows(
             np.array(coefficient_vector(F, 3), dtype=object), n)
-        annihilated = all(
-            sum(rc * wc for rc, wc in zip(row, wit)) == 0
-            for row in prods for wit in witness)
-        if annihilated:
+        if not (prods @ witness.T).any():
             basis = linalg.span(witness, "P", d, n, dim_d)
             if basis.dim == n:
                 return basis
@@ -301,7 +288,9 @@ def ev_product_matrix(quadric_basis: list[Poly], F: Poly, p: int | None = None):
     Row order is (i, j) with i <= j lexicographic; columns are the
     canonical degree-4 monomial coordinates.  Every supplied quadric must
     annihilate F — the rows then all pair to zero against the six vectors
-    x_i (dp-times) F.
+    x_i (dp-times) F.  Over Q the result is an object array of the exact
+    product coefficients (Python ints for integer quadrics); mod p it is
+    the int64 residue matrix of :func:`linalg.to_fp_matrix`.
     """
     if len(quadric_basis) != 15:
         raise ValueError("expected a basis of 15 quadrics")
@@ -311,11 +300,9 @@ def ev_product_matrix(quadric_basis: list[Poly], F: Poly, p: int | None = None):
     if linalg.rank([coefficient_vector(contract(q, F), 1)
                     for q in quadric_basis], p):
         raise ValueError("a quadric in the basis does not annihilate F")
-    rows = []
-    for i in range(15):
-        for j in range(i, 15):
-            prod = mul_s(quadric_basis[i], quadric_basis[j])
-            rows.append(coefficient_vector(prod, 4))
+    qs = np.array([coefficient_vector(q, 2) for q in quadric_basis],
+                  dtype=object)
+    rows = _products(qs, qs, 2, 2, F.n)[np.triu_indices(15)]
     if p is not None:
         return linalg.to_fp_matrix(rows, p)
     return rows
@@ -417,8 +404,8 @@ def fiber_equivalence(F3: Poly, Q: Poly, Q2: Poly, p: int | None = None) -> bool
     for q in (Q, Q2):
         if q.ring != "P" or (not q.is_zero() and q.degree() > 2):
             raise ValueError("expected P-side forms of degree at most 2")
-    (ra, rka, _), (rb, rkb, _) = (linalg.rref(_contraction_rows(F3 + q), p)
-                                  for q in (Q, Q2))
+    (ra, rka, _), (rb, rkb, _) = (
+        linalg.rref(_contraction_matrix(F3 + q, 3, p), p) for q in (Q, Q2))
     return ra[:rka] == rb[:rkb]
 
 
@@ -598,19 +585,12 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     w1, w2 = _witness_rows(f1v, n), _witness_rows(f2v, n)
     a_mat = linalg.to_fp_matrix([s[0] for s in sections], p)
     b_mat = linalg.to_fp_matrix([s[1] for s in sections], p)
-    flat_map = shift_table(n, 2, 2).reshape(-1)
     dim4 = dim_degree(n, 4)
+    pairs = np.triu_indices(15)
 
     def products(x, y):
         # row (i, j), i <= j: degree-4 coordinates of x_i * y_j
-        rows = np.zeros((120, dim4), dtype=np.int64)
-        r = 0
-        for i in range(15):
-            for j in range(i, 15):
-                outer = (x[i][:, None] * y[j][None, :]).reshape(-1)
-                np.add.at(rows[r], flat_map, outer)
-                r += 1
-        return rows % p
+        return _products(x, y, 2, 2, n)[pairs] % p
 
     first_vals = (a_mat * nodes[0] + b_mat) % p
     first = products(first_vals, first_vals)

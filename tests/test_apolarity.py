@@ -3,10 +3,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from apolar import linalg
 from apolar.apolarity import (
+    _contraction_matrix,
+    _le_vector,
+    _products,
     ann_degree,
     apolar_length,
     catalecticant,
@@ -24,8 +28,10 @@ from apolar.poly import (
     Poly,
     coefficient_vector,
     contract,
+    dim_degree,
     monomial_index,
     monomials,
+    mul_s,
     parse_family_template,
     parse_poly,
     poly_from_vector,
@@ -51,6 +57,66 @@ def test_shift_table_indexes_products():
         for j, e1 in enumerate(idx1):
             prod = tuple(a + b for a, b in zip(e2, e1))
             assert table[i, j] == lookup[prod]
+
+
+def _draw(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return rng.randrange(P)
+
+
+def _coefficients(forms, degree, kind):
+    vecs = [coefficient_vector(f, degree) for f in forms]
+    if kind == "mod":
+        return linalg.to_fp_matrix(vecs, P)
+    return np.array(vecs, dtype=object)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mod"])
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (2, 2), (2, 5)])
+def test_products_match_mul_s(a, b, kind):
+    # (2, 5) runs with y = None, the monomial basis of S_5
+    rng = random.Random(10 * a + b)
+
+    def forms(count, degree):
+        return [Poly("S", 6, {e: _draw(rng, kind) for e in monomials(6, degree)
+                              if rng.random() < 0.6}) for _ in range(count)]
+
+    xs = forms(3, a)
+    if b == 5:
+        ys, y = [Poly.monomial("S", 6, e) for e in monomials(6, b)], None
+    else:
+        ys = forms(4, b)
+        y = _coefficients(ys, b, kind)
+    out = _products(_coefficients(xs, a, kind), y, a, b, 6)
+    assert out.shape == (len(xs), len(ys), dim_degree(6, a + b))
+    for i, xf in enumerate(xs):
+        for j, yf in enumerate(ys):
+            want = coefficient_vector(mul_s(xf, yf), a + b)
+            if kind == "mod":
+                assert (out[i, j] % P).tolist() == [c % P for c in want]
+            else:
+                assert out[i, j].tolist() == want
+    if kind == "int":
+        assert {type(c) for c in out.ravel()} == {int}
+
+
+@pytest.mark.parametrize("p", [None, P])
+@pytest.mark.parametrize("max_op_degree", [3, 4])
+def test_contraction_matrix_rows_are_contractions(max_op_degree, p):
+    F3, Q = fiber_point(seed=1)
+    f = F3 + Q
+    ops = [e for r in range(max_op_degree + 1) for e in monomials(6, r)]
+    want = [_le_vector(contract(Poly.monomial("S", 6, e), f), 3)
+            for e in ops]
+    mat = _contraction_matrix(f, max_op_degree, p)
+    assert mat.shape == (len(ops), 84)
+    if p is None:
+        assert mat.tolist() == want
+    else:
+        assert mat.tolist() == linalg.to_fp_matrix(want, p).tolist()
 
 
 def test_catalecticant_rank_of_a_cube():
@@ -115,6 +181,11 @@ def test_apolar_length_values():
 def test_apolar_length_rejects_high_degree():
     with pytest.raises(ValueError):
         apolar_length(Poly.monomial("P", 6, (4, 0, 0, 0, 0, 0)))
+
+
+def test_translated_apolar_rejects_high_degree():
+    with pytest.raises(ValueError, match="degree <= 3"):
+        translated_apolar(Poly.monomial("P", 6, (4, 0, 0, 0, 0, 0)), (0,) * 6)
 
 
 def test_is_nondegenerate_cubic():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from apolar import cli
 from apolar.cli import main
 
@@ -219,6 +221,14 @@ def test_construct_waring_points_echoed(capsys):
     doc = json.loads(out[out.index("{"):])
     assert doc["kind"] == "waring"
     assert len(doc["points"]) == 9
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_construct_waring_bad_point_count_is_a_usage_error(capsys, points):
+    code, out, err = _run(capsys, "construct", "waring", "--points", points)
+    assert code == 64
+    assert out == ""
+    assert "--points" in err
 
 
 def test_construct_dvap_echoes_identification(capsys):

@@ -23,6 +23,7 @@ from apolar.poly import (
     contract,
     format_poly,
     monomials,
+    mul_s,
     parse_poly,
     waring_cube,
     waring_power,
@@ -91,6 +92,30 @@ def test_gr26_section_rational_field():
     assert hilbert_function(s.cubic) == (1, 6, 6, 1)
     for q in s.quadrics:
         assert contract(q, s.cubic).is_zero()
+
+
+def _substituted_relations(matrix):
+    # each pair coordinate replaced by the linear form of its matrix row
+    lin = [Poly("S", 6, {tuple(int(k == i) for k in range(6)): c
+                         for i, c in enumerate(row)}) for row in matrix]
+    out = []
+    for q in pluecker_quadrics():
+        total = Poly.zero("S", 6)
+        for expo, c in q.terms.items():
+            term = Poly.monomial("S", 6, (0,) * 6, c)
+            for k, e in enumerate(expo):
+                for _ in range(e):
+                    term = mul_s(term, lin[k])
+            total = total + term
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("seed, p", [(1, None), (0, P)])
+def test_gr26_quadrics_are_the_substituted_relations(seed, p):
+    s = gr26_section_cubic(seed=seed, p=p)
+    assert s.quadrics == _substituted_relations(s.matrix)
+    assert {type(c) for q in s.quadrics for c in q.terms.values()} == {int}
 
 
 def test_waring_sum_structure():

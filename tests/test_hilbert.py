@@ -40,6 +40,7 @@ from apolar.poly import (
     contract,
     dp_mul,
     monomials,
+    mul_s,
     parse_poly,
     poly_from_vector,
 )
@@ -131,9 +132,14 @@ def test_rational_perp4_witness_basis_is_canonical():
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), prime_seed=st.integers(0, 10 ** 6))
 def test_rational_perp_dims_match_a_prime(seed, prime_seed):
+    # the whole report agrees, apart from the field it was computed over
     F = random_cubic(seed)
     p = draw_primes(1, prime_seed)[0]
-    assert perp_dimensions(F) == perp_dimensions(F, p)
+    exact = analyze(F, field_kind="q").to_json_dict()
+    modular = analyze(F, primes=[p]).to_json_dict()
+    for doc in (exact, modular):
+        del doc["field"], doc["primes_used"]
+    assert exact == modular
 
 
 def test_square_ideal_degree_complements_perp():
@@ -195,6 +201,24 @@ def test_rational_analysis_runs_each_rank_once(monkeypatch):
     assert calls.count(15) == 1
 
 
+def test_rational_certificate_products_are_integers(monkeypatch):
+    # the degree-4 certificate scales the I_2 rows to integers, so its
+    # products and its witness check never touch a Fraction
+    seen = []
+    orig = hilbert.ev_product_matrix
+
+    def recording(quadrics, F, p=None):
+        out = orig(quadrics, F, p)
+        seen.append((quadrics, out))
+        return out
+
+    monkeypatch.setattr(hilbert, "ev_product_matrix", recording)
+    assert analyze(random_cubic(3), field_kind="q").tangent_dim == 76
+    ((quadrics, prods),) = seen
+    assert {type(c) for q in quadrics for c in q.terms.values()} == {int}
+    assert {type(c) for c in prods.ravel()} == {int}
+
+
 def test_tangent_dimension_values():
     assert tangent_dimension(_fixture(), P) == 76
     assert tangent_dimension(sum_of_cubes(), P) == 112
@@ -220,6 +244,18 @@ def test_ev_product_matrix_fixture_rank():
     M = ev_product_matrix(qs, F, P)
     assert M.shape == (120, 126)
     assert linalg.rank_fp(M, P) == 120  # not on the divisor: full rank
+
+
+def test_ev_product_matrix_rows_are_the_pairwise_products():
+    F = _fixture()
+    qs = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2).rows]
+    exact, residues = ev_product_matrix(qs, F), ev_product_matrix(qs, F, P)
+    assert exact.shape == residues.shape == (120, 126)
+    pairs = [(i, j) for i in range(15) for j in range(i, 15)]
+    for row, fp_row, (i, j) in zip(exact, residues, pairs):
+        want = coefficient_vector(mul_s(qs[i], qs[j]), 4)
+        assert row.tolist() == want
+        assert fp_row.tolist() == linalg.to_fp_matrix([want], P)[0].tolist()
 
 
 def test_ev_product_matrix_divisor_member_drops_rank():
