@@ -260,7 +260,9 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
 
     The generators are the shift a_i -> a_i + w_i applied to a basis of the
     annihilator of f in operator degrees <= 4 (which generates the whole
-    annihilator for degree-3 f); the length is translation invariant.
+    annihilator for degree-3 f): the kernel basis of one elimination, a
+    generating set rather than a canonical basis.  The length is
+    translation invariant.
     """
     if f.ring != "P":
         raise ValueError("translated_apolar acts on the P ring")
@@ -269,7 +271,7 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
         raise ValueError("support point has wrong length")
     mat = _contraction_matrix(f, 4, p)
     # operator-coefficient combinations live in the left kernel
-    kern = linalg.kernel(mat.T, p)
+    kern = linalg._kernel(linalg.field_array(mat.T, p), p).tolist()
     gens = []
     offs, _ = _le_offsets(f.n, 4)
     for vec in kern:

@@ -31,6 +31,7 @@ from .poly import Poly, monomials, poly_from_vector, waring_cube
 _PAIRS = [(a, b) for a in range(6) for b in range(a + 1, 6)]
 
 _COEFF_BOUND = 10000
+_ATTEMPTS = 10  # draws a sampler makes before giving up
 
 
 def _coeff(rng, p: int | None) -> int:
@@ -76,8 +77,7 @@ class SectionSample:
     quadrics: list[Poly]
 
 
-def gr26_section_cubic(seed: int = 0, p: int | None = None,
-                       attempts: int = 10) -> SectionSample:
+def gr26_section_cubic(seed: int = 0, p: int | None = None) -> SectionSample:
     """Cubic apolar to a random linear section of the pair-coordinate
     relations.
 
@@ -85,13 +85,13 @@ def gr26_section_cubic(seed: int = 0, p: int | None = None,
     operator variables; when the 15 substituted quadrics stay linearly
     independent and admit a one-dimensional common perp in degree 3, the
     dual socle generator is returned.  Degenerate draws are resampled up
-    to ``attempts`` times.
+    to ``_ATTEMPTS`` times.
     """
     # each relation as its terms (i, j, sign): sign * p_i * p_j
     relations = [[(*np.repeat(np.arange(15), e), c)
                   for e, c in q.terms.items()] for q in pluecker_quadrics()]
     rng = seeded_rng(seed, "gr26")
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         matrix = [[_coeff(rng, p) for _ in range(6)] for _ in range(15)]
         lin = np.array(matrix, dtype=np.int64)
         if not lin.any(axis=1).all():
@@ -112,17 +112,18 @@ def gr26_section_cubic(seed: int = 0, p: int | None = None,
         if not is_nondegenerate_cubic(F, p):
             continue
         return SectionSample(F, matrix, subbed)
-    raise ValueError("no nondegenerate section found in %d attempts" % attempts)
+    raise ValueError("no nondegenerate section found in %d attempts"
+                     % _ATTEMPTS)
 
 
-def waring_sum(n_points: int, seed: int = 0, p: int | None = None,
-               attempts: int = 10) -> tuple[Poly, list[tuple[int, ...]]]:
+def waring_sum(n_points: int, seed: int = 0,
+               p: int | None = None) -> tuple[Poly, list[tuple[int, ...]]]:
     """Sum of dp-cubes of ``n_points`` random linear forms, with the
     points; resamples until the cubic is nondegenerate."""
     if n_points < 1:
         raise ValueError("need at least one point")
     rng = seeded_rng(seed, "waring:%d" % n_points)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         pts = []
         while len(pts) < n_points:
             c = tuple(_coeff(rng, p) for _ in range(6))
@@ -192,11 +193,10 @@ def random_ternary_sextic(seed: int = 0, p: int | None = None) -> Poly:
             return G
 
 
-def random_cubic(seed: int = 0, p: int | None = None, n_vars: int = 6,
-                 attempts: int = 10) -> Poly:
+def random_cubic(seed: int = 0, p: int | None = None, n_vars: int = 6) -> Poly:
     """Random nondegenerate cubic form (dense, reproducible)."""
     rng = seeded_rng(seed, "cubic:%d" % n_vars)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         terms = {e: _coeff(rng, p) for e in monomials(n_vars, 3)}
         F = Poly("P", n_vars, terms)
         if is_nondegenerate_cubic(F, p):

@@ -178,8 +178,9 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     annihilator ideal.
 
     Computed by intersecting kernels block by block (one block per basis
-    operator of the lower factor), which keeps the working set small even
-    in degree 7 where the full product matrix would have ~10^4 rows.
+    operator of the lower factor, one elimination each, the running basis
+    unreduced until the one final RREF), which keeps the working set small
+    even in degree 7 where the full product matrix would have ~10^4 rows.
     ``slices`` carries the annihilator slices of F over the same field
     across calls (and F's nondegeneracy check with them).
 
@@ -199,12 +200,12 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
         return _square_perp_basis_q(F, d, slices)
     basis = None
     for block in _product_blocks(d, slices):
-        basis = linalg.kernel_fp(block, p) if basis is None else \
-            linalg.restrict_kernel(basis, block, p)
+        basis = linalg._kernel(linalg.field_array(block, p), p) \
+            if basis is None else linalg.restrict_kernel(basis, block, p)
         if basis.shape[0] == 0:
             break
     return linalg.SubspaceBasis("P", d, F.n, dim_degree(F.n, d), p,
-                                basis.tolist())
+                                linalg.rref_fp(basis, p)[0].tolist())
 
 
 def _square_perp_basis_q(F, d, slices):
@@ -457,33 +458,9 @@ class PencilProfile:
 
 
 def _section_pairs(quadric_family, n: int):
-    out = []
-    for a, b in quadric_family:
-        za = [0] * dim_degree(n, 2)
-        zb = list(za)
-        for q, target in ((a, za), (b, zb)):
-            if q is None or q.is_zero():
-                continue
-            if q.ring != "S" or q.degree() != 2:
-                raise ValueError("family sections must be quadric operators")
-            target[:] = coefficient_vector(q, 2)
-        out.append((za, zb))
-    return out
-
-
-def _check_family_annihilates(quadric_family, F1: Poly, F2: Poly):
-    """Exact identity check: (u a + v b) must kill u F1 + v F2 for all
-    (u, v), i.e. the three bilinear pieces must each vanish."""
-    zero = Poly.zero("S", F1.n)
-    for a, b in quadric_family:
-        a = a or zero
-        b = b or zero
-        for piece in (contract(a, F1),
-                      contract(b, F2),
-                      contract(a, F2) + contract(b, F1)):
-            if not piece.is_zero():
-                raise ValueError(
-                    "family section does not annihilate the pencil identically")
+    zero = [0] * dim_degree(n, 2)
+    return [(zero if a is None else coefficient_vector(a, 2),
+             coefficient_vector(b, 2)) for a, b in quadric_family]
 
 
 def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
@@ -621,7 +598,7 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     return first, data
 
 
-def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
+def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
                    p: int | None = None, seed: int = 0) -> PencilProfile:
     """Interpolated chart determinant along the pencil u*F1 + v*F2 (v = 1).
 
@@ -635,15 +612,16 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     itself is never sampled — only the interpolant speaks about it, which
     is the point: the annihilator there may jump.
 
-    The family, the nodes and the per-node data are built once: the rows
-    of the product matrix M(u) that do not move with u are eliminated once
-    per prime, the rest at all nodes together in one stacked elimination
-    (see :func:`_collect_node_data`), and every chart reads its minor from
-    the resulting 6 x 126 kernel by the complementary-minor identity
-    (Grassmann duality Gr(120,126) = Gr(6,126)), a 6 x 6 determinant.  The determinant comes from ``chart_cubic`` when given,
-    else from the first usable cubic monomial.  The first usable monomial
-    after it, in cyclic monomial order, verifies it: the two monic
-    determinants must be equal.  Both read the same kernels, so this
+    The family (:func:`pencil_family`), the nodes and the per-node data
+    are built once: the rows of the product matrix M(u) that do not move
+    with u are eliminated once per prime, the rest at all nodes together
+    in one stacked elimination (see :func:`_collect_node_data`), and every
+    chart reads its minor from the resulting 6 x 126 kernel by the
+    complementary-minor identity (Grassmann duality Gr(120,126) =
+    Gr(6,126)), a 6 x 6 determinant.  The determinant comes from
+    ``chart_cubic`` when given, else from the first usable cubic monomial.
+    The first usable monomial after it, in cyclic monomial order, verifies
+    it: the two monic determinants must be equal.  Both read the same kernels, so this
     checks the identity rather than the elimination; the independent
     check is a spot check, one direct 120 x 120 determinant of the
     accepted chart at the first node compared with the identity's value.
@@ -651,10 +629,6 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
 
     Args:
         chart_cubic: optional degree-3 exponent tuple or monomial Poly.
-        quadric_family: optional explicit list of 15 sections (a, b) read
-            as u*a + v*b with constants written (None, q); the family must
-            annihilate the pencil identically.  Computed by kernel
-            continuation when absent.
         p: working prime (required; profiles are per-prime objects),
             with at least 16 * movers + 5 nonzero residues to sample.
 
@@ -662,7 +636,7 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
         ValueError: a prime too small for the nodes, an unusable explicit
             chart, no usable chart at all, charts that disagree, a spot
             check that disagrees with the identity, or a family that does
-            not move or does not annihilate the pencil.
+            not move.
     """
     if p is None:
         raise ValueError("pencil profiles are computed over a prime field")
@@ -677,18 +651,8 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     if chart is not None and (len(chart) != n or sum(chart) != 3
                               or min(chart) < 0):
         raise ValueError("chart monomial must have degree 3")
-    if quadric_family is None:
-        family = pencil_family(F1, F2, p)
-    else:
-        family = list(quadric_family)
-        if len(family) != 15:
-            raise ValueError("explicit family must have 15 sections")
-        _check_family_annihilates(family, F1, F2)
-    sections = _section_pairs(family, n)
-    movers = sum(1 for a, _ in sections if any(a))
-    if movers == 0:
-        raise ValueError("pencil does not move (all sections constant)")
-    bound = 16 * movers
+    sections = _section_pairs(pencil_family(F1, F2, p), n)
+    bound = 16 * sum(1 for a, _ in sections if any(a))
 
     if p - 1 < bound + 5:
         raise ValueError(
@@ -786,7 +750,7 @@ def _default_chart(fn, n: int, chart: tuple | None):
     return found
 
 
-def pencil_report(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
+def pencil_report(F1: Poly, F2: Poly, chart_cubic=None,
                   primes: list[int] | None = None, n_primes: int = 3,
                   seed: int = 0) -> dict:
     """Multi-prime pencil summary.
@@ -797,17 +761,20 @@ def pencil_report(F1: Poly, F2: Poly, chart_cubic=None, quadric_family=None,
     factor may split at one prime and not another.  Without ``chart_cubic``
     the chart found at the first prime is used at every later one.
     """
-    if F1.ring != "P" or F2.ring != "P":
-        raise ValueError("pencil endpoints must be P-side cubics")
-    if F1.is_zero() or F2.is_zero() or F1 == F2:
-        raise ValueError("pencil needs two distinct nonzero endpoints")
+    for name, F in (("F1", F1), ("F2", F2)):
+        if F.ring != "P" or F.is_zero() or F.degree() != 3 \
+                or not F.is_homogeneous():
+            raise ValueError("pencil endpoint %s must be a nonzero homogeneous "
+                             "P-side cubic" % name)
+    if F1 == F2:
+        raise ValueError("pencil needs two distinct endpoints")
     if primes is None:
         primes = draw_primes(n_primes, seed, F1, F2)
     if not primes:
         raise ValueError("a pencil report needs at least one prime")
     profiles = []
     for p in primes:
-        prof = pencil_profile(F1, F2, chart_cubic, quadric_family, p, seed)
+        prof = pencil_profile(F1, F2, chart_cubic, p, seed)
         chart_cubic = prof.chart
         profiles.append(prof)
     stable = {(prof.total_degree, prof.multiplicity_at_zero)

@@ -25,7 +25,11 @@ square-free decomposition, then Cantor-Zassenhaus) work over F_p only.
 
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
-their basis matrices.
+their basis matrices.  Inside, a kernel is the basis that is the identity
+on the free columns, from one elimination (:func:`_kernel`), and
+:func:`restrict_kernel` carries such bases unreduced; a basis is reduced
+to RREF once, where it is published (:func:`kernel_fp`, :func:`kernel_q`,
+``hilbert.square_perp_basis``).
 """
 
 from __future__ import annotations
@@ -120,15 +124,16 @@ def _rref(m: np.ndarray, p: int | None):
 
 
 def _kernel(m: np.ndarray, p: int | None) -> np.ndarray:
-    """RREF-canonical basis of the right kernel of a working array, one
-    row per basis vector, in the array's own field."""
+    """Basis of the right kernel of a working array from one Gauss-Jordan
+    elimination, in the array's own field: one row per free column, in
+    increasing order, the identity on the free columns (not RREF)."""
     red, rank, pivots = _rref(m, p)
     free = np.setdiff1d(np.arange(m.shape[1]), pivots)
     basis = field_array(np.eye(m.shape[1], dtype=np.int64)[free], p)
     basis[:, pivots] = -red[:rank, free].T
     if p is not None:
         basis %= p
-    return _rref(basis, p)[0]
+    return basis
 
 
 def rref_fp(mat, p: int):
@@ -147,7 +152,7 @@ def rank_fp(mat, p: int) -> int:
 def kernel_fp(mat, p: int) -> np.ndarray:
     """RREF-canonical basis of the right kernel, one int64 row per basis
     vector."""
-    return _kernel(field_array(mat, p), p)
+    return _rref(_kernel(field_array(mat, p), p), p)[0]
 
 
 def pivot_kernels_fp(stack, p: int) -> list:
@@ -257,12 +262,13 @@ def det_fp(mat, p: int) -> int:
 def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.ndarray:
     """Intersect a solution space (rows of ``basis``) with ker(constraint).
 
-    Lets large kernels be cut down block by block without ever forming the
-    full stacked constraint matrix.
+    Returns an unreduced basis of the intersection: the combinations of
+    the rows of ``basis`` that the free-column kernel of
+    constraint · basis^T picks out.  Lets large kernels be cut down block
+    by block without ever forming the full stacked constraint matrix.
     """
     prod = matmul_fp(to_fp_matrix(constraint, p), basis.T, p)
-    coeffs = kernel_fp(prod, p)
-    return rref_fp(matmul_fp(coeffs, basis, p), p)[0][: coeffs.shape[0]]
+    return matmul_fp(_kernel(prod, p), basis, p)
 
 
 # -- rational path -------------------------------------------------------
@@ -281,7 +287,7 @@ def rank_q(mat) -> int:
 
 def kernel_q(mat):
     """Right-kernel basis over Q, RREF-canonical rows of Fractions."""
-    return _kernel(field_array(mat), None).tolist()
+    return _rref(_kernel(field_array(mat), None), None)[0].tolist()
 
 
 # -- one field switch -------------------------------------------------------

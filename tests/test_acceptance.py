@@ -130,12 +130,11 @@ def test_criterion_01_fixture_values():
 def test_criterion_02_pencil_determinant_both_charts():
     start = time.monotonic()
     F1, F2 = _fstar(), _cube()
-    family = _pencil_sections()
     charts = [(0, 0, 0, 0, 0, 3), (0, 0, 0, 1, 0, 2)]
 
     for p in draw_primes(3, seed=2):
         for chart in charts:
-            prof = pencil_profile(F1, F2, chart, family, p)
+            prof = pencil_profile(F1, F2, chart, p)
             assert prof.determinant == [0] * 10 + [1]
             assert prof.total_degree == 10
             assert prof.multiplicity_at_zero == 10

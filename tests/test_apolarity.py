@@ -237,6 +237,11 @@ def test_translated_apolar_length_is_apolar_length(p):
         assert ta.length == apolar_length(f, p)
 
 
+def _slice_span(gens):
+    # span mod P of operators of degree <= 4; Fractions reduce mod P
+    return linalg.span([_le_vector(g, 4) for g in gens], "S", 4, 6, 210, P)
+
+
 def test_translated_apolar_round_trip():
     """Shifting generators back by -w recovers the original slice span."""
     F3, Q = fiber_point(seed=5, p=P)
@@ -244,14 +249,18 @@ def test_translated_apolar_round_trip():
     w = (3, 1, 4, 1, 5, 9)
     ta = translated_apolar(f, w, P)
     zero = translated_apolar(f, (0,) * 6, P)
-
-    def _span(gens):
-        from apolar.apolarity import _le_vector
-        return linalg.span([_le_vector(g, 4) for g in gens],
-                           "S", 4, 6, 210, P)
-
     back = [substitute_shift(g, tuple(-c for c in w)) for g in ta.generators]
-    assert _span(back) == _span(zero.generators)
+    assert _slice_span(back) == _slice_span(zero.generators)
+
+
+def test_translated_apolar_over_q_reduces_to_mod_p():
+    F3, Q = fiber_point(seed=2)
+    f = F3 + Q
+    w = (1, 0, 2, 0, 0, 3)
+    exact, modular = translated_apolar(f, w), translated_apolar(f, w, P)
+    assert exact.length == modular.length == 14
+    assert len(exact.generators) == len(modular.generators)
+    assert _slice_span(exact.generators) == _slice_span(modular.generators)
 
 
 def test_translated_apolar_generators_kill_translated_data():

@@ -164,6 +164,13 @@ def test_pencil_identical_endpoints(capsys):
     assert "distinct" in err
 
 
+def test_pencil_rejects_an_endpoint_that_is_not_a_cubic(capsys):
+    for f1, f2, name in (("x0^2", "x5^3", "F1"), (FIXTURE, "x0^4", "F2")):
+        code, _, err = _run(capsys, "pencil", "--f1", f1, "--f2", f2)
+        assert code == 3
+        assert "pencil endpoint %s must be a nonzero homogeneous" % name in err
+
+
 def test_pencil_that_does_not_move(capsys):
     # proportional endpoints share every quadric; the default-chart path
     # reports the family error, as the explicit-chart path does

@@ -344,6 +344,25 @@ def test_fiber_equivalence_detects_difference():
     assert not fiber_equivalence(F3, Q, Q + other, P)
 
 
+def test_degree_4_perp_mod_p_runs_one_elimination_per_block(monkeypatch):
+    # the running basis stays unreduced: one elimination per product
+    # block, and one RREF of the published basis
+    F = _fixture()
+    slices = hilbert._checked_slices(F, P)
+    blocks = list(hilbert._product_blocks(4, slices))
+    calls = []
+    orig = linalg._rref
+
+    def counted(m, p):
+        calls.append(m.shape)
+        return orig(m, p)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    basis = square_perp_basis(F, 4, P, slices)
+    assert len(calls) == len(blocks) + 1 == 16
+    assert basis.rows == linalg.kernel_fp(np.vstack(blocks), P).tolist()
+
+
 # ---------------------------------------------------------------------------
 # pencil machinery
 

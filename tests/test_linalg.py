@@ -93,11 +93,15 @@ def test_reduction_never_raises_the_rank(mat):
 @settings(max_examples=200, deadline=None)
 @given(small_matrices)
 def test_kernel_q_is_an_exact_rref_complement(mat):
-    kern = linalg.kernel_q(mat)
-    assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
-               for row in mat for vec in kern)
-    assert _is_rref(kern)
-    assert len(kern) + linalg.rank_q(mat) == len(mat[0])
+    # over Q, and over F_7 where the reduction often drops a rank
+    for p, kern, rank in ((None, linalg.kernel_q(mat), linalg.rank_q(mat)),
+                          (SMALL_P, linalg.kernel_fp(mat, SMALL_P).tolist(),
+                           linalg.rank_fp(mat, SMALL_P))):
+        dots = [sum(Fraction(a) * b for a, b in zip(row, vec))
+                for row in mat for vec in kern]
+        assert all((dot if p is None else dot % p) == 0 for dot in dots)
+        assert _is_rref(kern)
+        assert len(kern) + rank == len(mat[0])
 
 
 @settings(max_examples=200, deadline=None)
