@@ -5,7 +5,8 @@ ideals and their squares, tangent-space dimensions on the Hilbert scheme
 of 14 points, the determinantal equation of the divisor of non-smoothable
 points along pencils, and stock constructions (Grassmannian sections,
 sums of dp-cubes, ternary-sextic gatherings).  All arithmetic is exact:
-Fraction over the rationals, int64 residues modulo word-sized primes.
+int64 residues modulo word-sized primes, and over the rationals a p-adic
+solver whose results (Fractions) pass an exact integer check.
 """
 
 from .apolarity import (

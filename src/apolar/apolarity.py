@@ -5,9 +5,10 @@ the catalecticant map S_r -> P_{d-r}, sigma -> sigma ∘ F.  Its rank is the
 Hilbert function value h(r) of the quotient algebra, its left kernel is the
 degree-r slice of the annihilator ideal, and the row span is the
 coordinate complement of the degree-(d-r) annihilator slice (the pairing of
-monomial bases is diagonal).  Everything here is exact: Fractions over the
-rationals, int64 residues when a prime is supplied; :mod:`linalg` picks
-the field from ``p``.
+monomial bases is diagonal).  Everything here is exact: object arrays of
+the exact coefficients (ints or Fractions) over the rationals, int64
+residues when a prime is supplied; :mod:`linalg` picks the field from
+``p``.
 
 Every product and contraction matrix of the package comes from this
 module, indexed through :func:`shift_table`: products of operator forms
@@ -76,6 +77,14 @@ def _products(x: np.ndarray, y: np.ndarray | None, a: int, b: int,
     return out
 
 
+def _coefficients(f: Poly, degree: int, p: int | None) -> np.ndarray:
+    """The degree-d coefficient vector of f: exact scalars in an object
+    array over Q, int64 residues mod p."""
+    vec = coefficient_vector(f, degree)
+    return np.array(vec, dtype=object) if p is None else \
+        linalg.to_fp_matrix(vec, p)
+
+
 def _require_form(F: Poly, degree: int | None = None):
     if F.ring != "P":
         raise ValueError("expected a P-ring form")
@@ -90,15 +99,14 @@ def catalecticant(F: Poly, r: int, p: int | None = None):
 
     Rows are indexed by the degree-r operator monomials, columns by the
     degree-(d-r) polynomial monomials; the entry is the coefficient of F at
-    the product exponent.  The result is a working array of
-    :func:`linalg.field_array`: int64 residues mod p, Fractions over Q.
+    the product exponent: int64 residues mod p, or over Q an object array
+    of F's coefficients.
     """
     _require_form(F)
     d = 0 if F.is_zero() else F.degree()
     if r < 0 or r > d:
         raise ValueError("catalecticant index %d out of range 0..%d" % (r, d))
-    vec = linalg.field_array([coefficient_vector(F, d)], p)[0]
-    return vec[shift_table(F.n, r, d - r)]
+    return _coefficients(F, d, p)[shift_table(F.n, r, d - r)]
 
 
 def ann_degree(F: Poly, r: int, p: int | None = None) -> linalg.SubspaceBasis:
@@ -184,14 +192,13 @@ def _contraction_matrix(f: Poly, max_op_degree: int, p: int | None = None):
     Rows are the operator monomials of degrees 0..max_op_degree, columns
     the monomials of degrees 0..3, each in concatenated canonical order.
     Block (r, s) is the catalecticant gather of the degree-(r+s) part of f
-    and is zero when r + s > 3.  A working array of
-    :func:`linalg.field_array`.
+    and is zero when r + s > 3.  Residues mod p, or exact coefficients
+    over Q, as in :func:`catalecticant`.
     """
     if not f.is_zero() and f.degree() > 3:
         raise ValueError("contraction matrices need degree <= 3")
     n = f.n
-    vecs = [linalg.field_array([coefficient_vector(f, k)], p)[0]
-            for k in range(4)]
+    vecs = [_coefficients(f, k, p) for k in range(4)]
     return np.block([[vecs[r + s][shift_table(n, r, s)] if r + s <= 3 else
                       np.zeros((dim_degree(n, r), dim_degree(n, s)),
                                dtype=vecs[0].dtype)
@@ -271,7 +278,8 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
         raise ValueError("support point has wrong length")
     mat = _contraction_matrix(f, 4, p)
     # operator-coefficient combinations live in the left kernel
-    kern = linalg._kernel(linalg.field_array(mat.T, p), p).tolist()
+    kern = linalg._free_kernel_q(mat.T) if p is None else \
+        linalg._kernel(linalg.field_array(mat.T, p), p).tolist()
     gens = []
     offs, _ = _le_offsets(f.n, 4)
     for vec in kern:

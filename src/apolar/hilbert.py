@@ -25,7 +25,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -112,18 +111,19 @@ def draw_primes(n_primes: int, seed: int, *forms: Poly) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def _witness_rows(fvec: np.ndarray, n: int) -> np.ndarray:
-    """The six witnesses x_j (dp-times) F in degree-4 coordinates, one row
-    per j, from the cubic coefficient vector ``fvec`` of F.
+def _witness_rows(fvec: np.ndarray, n: int, degree: int = 3) -> np.ndarray:
+    """The vectors x_j (dp-times) f in degree-(degree + 1) coordinates, one
+    row per j, from the coefficient vector ``fvec`` of a form f of the
+    given degree; for a cubic F these are the six witnesses.
 
     x_j (dp-times) x^m = (m_j + 1) x^(m + e_j), so row j places
     (m_j + 1) * fvec[m] at the index of m + e_j.  The rows keep the dtype
     of ``fvec``: object arrays stay exact (ints or Fractions, with Python
     int multiplicities), int64 residues are left unreduced.
     """
-    mult = np.array(monomials(n, 3), dtype=fvec.dtype) + 1
-    table = shift_table(n, 1, 3)
-    rows = np.zeros((n, dim_degree(n, 4)), dtype=fvec.dtype)
+    mult = np.array(monomials(n, degree), dtype=fvec.dtype) + 1
+    table = shift_table(n, 1, degree)
+    rows = np.zeros((n, dim_degree(n, degree + 1)), dtype=fvec.dtype)
     for j in range(n):
         rows[j, table[j]] = fvec * mult[:, j]
     return rows
@@ -135,14 +135,30 @@ def _degree_pairs(d: int) -> list[tuple[int, int]]:
 
 def _product_blocks(d: int, slices):
     """The product blocks spanning (I^2)_d, one per basis operator of the
-    lower factor, in the field of ``slices``."""
+    lower factor, in the field of ``slices``.  Over Q the slices are
+    primitive integer rows (:func:`_slice_rows`), and the products stay in
+    int64 when they fit (a sum of at most 56 products), else Python ints."""
     n = slices.F.n
     for a, b in _degree_pairs(d):
         B = slices(b)
-        basis_b = None if B.dim == dim_degree(n, b) else \
-            linalg.field_array(B.rows, slices.p)
-        for pvec in linalg.field_array(slices(a).rows, slices.p):
-            yield _products(pvec[None], basis_b, a, b, n)[0]
+        lower = _slice_rows(slices(a), slices.p)
+        upper = None if B.dim == dim_degree(n, b) else \
+            _slice_rows(B, slices.p)
+        if slices.p is None and linalg._bits(lower) + (
+                1 if upper is None else linalg._bits(upper)) > 56:
+            lower = lower.astype(object)
+            upper = None if upper is None else upper.astype(object)
+        for pvec in lower:
+            yield _products(pvec[None], upper, a, b, n)[0]
+
+
+def _slice_rows(basis: linalg.SubspaceBasis, p: int | None) -> np.ndarray:
+    """The rows of a slice basis mod p, or over Q scaled to primitive
+    integer rows (:func:`linalg.integer_rows`): the same span, so the
+    products of the blocks and their kernel stay in integers."""
+    if p is None:
+        return linalg.integer_rows(basis.rows)
+    return linalg.field_array(basis.rows, p)
 
 
 @dataclass
@@ -151,13 +167,15 @@ class _Slices:
 
     Made by :func:`_checked_slices` only after the cubic was found
     nondegenerate over that field; over Q, ``cert`` holds the slices at
-    the certificate prime.
+    the certificate prime and ``perps`` the rational perps computed so
+    far.
     """
 
     F: Poly
     p: int | None
     cert: "_Slices | None" = None
     cache: dict = field(default_factory=dict)
+    perps: dict = field(default_factory=dict)  # exact perps by degree, over Q
 
     def __call__(self, r: int) -> linalg.SubspaceBasis:
         if r not in self.cache:
@@ -184,20 +202,24 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     ``slices`` carries the annihilator slices of F over the same field
     across calls (and F's nondegeneracy check with them).
 
-    Over the rationals the perp is first computed once modulo a
-    certificate prime at which F stays nondegenerate; reduction can only
-    enlarge a perp, so that dimension bounds the rational one from above.
-    A zero perp mod p is then the rational answer.  In degree 4 a mod-p
-    dimension of 6 is met by the six vectors x_i (dp-times) F, checked
-    exactly to lie in the perp and to be independent, so their span is the
-    perp.  Otherwise exact Fraction elimination of the stacked product
-    blocks runs, which is slow in degrees 6 and 7.
+    Over the rationals the perp dimension is first bounded modulo a
+    certificate prime at which F stays nondegenerate (:func:`_cert_dim`,
+    which searches the perp among x_j (dp-times) the rational perp of
+    degree d - 1); reduction can only enlarge a perp, so that bound holds
+    over Q.  A zero bound is then the rational answer.  In degree 4 a
+    bound of 6 is met by the six vectors x_i (dp-times) F, checked exactly
+    to lie in the perp and to be independent, so their span is the perp.
+    Otherwise the stacked product blocks, built from the slices scaled to
+    integer rows, go to the p-adic solver :func:`linalg.kernel_q`.  The
+    rational perps are kept in ``slices``, one computation per degree.
     """
     slices = slices if slices is not None else _checked_slices(F, p)
     if d < 4 or d > 7:
         raise ValueError("degree must be between 4 and 7")
     if p is None:
-        return _square_perp_basis_q(F, d, slices)
+        if d not in slices.perps:
+            slices.perps[d] = _square_perp_basis_q(F, d, slices)
+        return slices.perps[d]
     basis = None
     for block in _product_blocks(d, slices):
         basis = linalg._kernel(linalg.field_array(block, p), p) \
@@ -208,22 +230,79 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
                                 linalg.rref_fp(basis, p)[0].tolist())
 
 
+def _pairings(vecs: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
+    """The pairing <x y, v> mod p of every product x y of the product
+    blocks of degree d (see :func:`_product_blocks`) with every row v of
+    ``vecs``: one row per product, one column per v.
+
+    <x y, v> = x . C_v . y, with C_v the catalecticant gather of v, so no
+    product block is formed."""
+    n, p = slices.F.n, slices.p
+    out = []
+    for a, b in _degree_pairs(d):
+        pair = linalg.matmul_fp(_slice_rows(slices(a), p),
+                                vecs[:, shift_table(n, a, b)], p)
+        B = slices(b)
+        if B.dim != dim_degree(n, b):
+            pair = linalg.matmul_fp(pair, _slice_rows(B, p).T, p)
+        out.append(pair.reshape(len(vecs), -1))
+    return np.hstack(out).T
+
+
+def _cert_dim(F: Poly, d: int, slices: _Slices) -> int:
+    """The degree-d perp dimension at the certificate prime q, an upper
+    bound for the rational one.
+
+    The perp is sought among the vectors x_j (dp-times) v for the basis
+    rows v of the rational perp of degree d - 1 (all of P_3 below degree
+    4): a perp vector g has every a_j ∘ g in that perp, and g = (1/d)
+    sum_j x_j (dp-times) (a_j ∘ g) (Euler), with coordinates integral at
+    q.  Those vectors are paired with the product blocks
+    (:func:`_pairings`), and the bound is their number less the rank of
+    the pairings.  That rank is taken after mixing the pairing rows into a
+    few more random combinations than there are vectors: a lower bound for
+    the rank (and almost surely equal to it), so the perp bound stays an
+    upper bound.
+    """
+    cert, prev = slices.cert, slices.perps.get(d - 1)
+    if d == 4:
+        start = np.eye(dim_degree(F.n, 4), dtype=np.int64)
+    elif prev is None:
+        return square_perp_basis(F, d, cert.p, cert).dim
+    elif prev.dim == 0:
+        return 0
+    else:
+        try:
+            rows = linalg.to_fp_matrix(prev.rows, cert.p)
+        except ValueError:  # q divides a denominator of the previous perp
+            return square_perp_basis(F, d, cert.p, cert).dim
+        shifts = np.vstack([_witness_rows(v, F.n, d - 1) for v in rows])
+        red, rank, _ = linalg.rref_fp(shifts, cert.p)
+        start = red[:rank]
+    pairs = _pairings(start, d, cert)
+    # weights below 2^10 times residues below 2^26, summed over fewer than
+    # 2^16 rows, stay below 2^52: the float64 product is exact
+    mix = np.random.default_rng(d).integers(1 << 10, size=(len(start) + 8,
+                                                           len(pairs)))
+    combined = (mix.astype(np.float64) @ pairs.astype(np.float64)) % cert.p
+    ((_, pivots, _),) = linalg.pivot_kernels_fp(
+        combined.astype(np.int64)[None], cert.p)
+    return len(start) - len(pivots)
+
+
 def _square_perp_basis_q(F, d, slices):
     n, dim_d = F.n, dim_degree(F.n, d)
-    mod_dim = square_perp_basis(F, d, slices.cert.p, slices.cert).dim
+    mod_dim = _cert_dim(F, d, slices)
     if mod_dim == 0:
         return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
     if d == 4 and mod_dim == n:
-        # each I_2 row times the lcm of its denominators: the same span,
-        # so the products and the witness check stay in integers
-        quadrics = []
-        for row in slices(2).rows:
-            scale = math.lcm(*(Fraction(c).denominator for c in row))
-            quadrics.append(poly_from_vector(
-                [int(c * scale) for c in row], "S", n, 2))
+        # the I_2 rows and F scaled to integers: the same spans, so the
+        # products and the witness check stay in integers
+        quadrics = [poly_from_vector(row, "S", n, 2)
+                    for row in _slice_rows(slices(2), None).tolist()]
         prods = ev_product_matrix(quadrics, F)
-        witness = _witness_rows(
-            np.array(coefficient_vector(F, 3), dtype=object), n)
+        witness = _witness_rows(linalg.integer_rows(
+            [coefficient_vector(F, 3)]).astype(object)[0], n)
         if not (prods @ witness.T).any():
             basis = linalg.span(witness, "P", d, n, dim_d)
             if basis.dim == n:
@@ -359,8 +438,8 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
     distinct random primes that divide no denominator of F (or the
     explicit ``primes``) and every reported integer must agree across
     them; disagreement raises RuntimeError.
-    With ``field_kind="q"`` the exact rational path runs (certificates
-    plus Fraction elimination where certificates do not apply).
+    With ``field_kind="q"`` the exact rational path runs (certificates,
+    and the verified p-adic solver where certificates do not apply).
 
     The verdict is NonSmoothableCertified exactly when the Hilbert
     function is (1,6,6,1) and the tangent dimension is 76 (below the

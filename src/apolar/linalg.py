@@ -1,14 +1,25 @@
 """Dense exact linear algebra over the rationals and over prime fields.
 
-Elimination runs on 2-D numpy working arrays (:func:`field_array`): int64
-residues mod p, or object-dtype Fractions when ``p`` is None.  With
-p < 2**26 every product fits comfortably in int64 even after summing along
-the longest shared dimension used in this package (792), so the modular
-code is exact in machine integers.  This elimination core is the only code
-that serves both fields: one Gauss-Jordan body and one kernel construction,
-with ``rref``, ``rank`` and ``kernel`` the field switch callers use.  The
-``_fp`` entry points return int64 arrays, the ``_q`` ones lists of Fraction
-rows.
+Elimination runs mod p only, on 2-D int64 working arrays of residues
+(:func:`field_array`).  With p < 2**26 every product fits comfortably in
+int64 even after summing along the longest shared dimension used in this
+package (792), so the modular code is exact in machine integers.  One
+Gauss-Jordan body (:func:`_rref`) and one kernel construction
+(:func:`_kernel`) serve every caller; ``rref``, ``rank`` and ``kernel`` are
+the field switch.  The ``_fp`` entry points return int64 arrays, the
+``_q`` ones lists of Fraction rows.  Both fields take one input contract:
+ints (Python or numpy) and Fractions, anything else is a TypeError.
+
+Over Q, :func:`rref_q`, :func:`kernel_q` and :func:`rank_q` are entry
+points into one p-adic solver (Dixon 1982).  Each row is scaled to
+integers; the pivot columns and independent pivot rows come from one
+elimination mod a prime, and X = M[R, P]^-1 M[R, F] is lifted p-adically
+in 26-bit limbs, with vector rational reconstruction (Wang 1981, one
+common denominator) each time the number of p-adic digits doubles.  A
+result leaves the solver only after an exact integer check that M times
+the kernel basis it gives is zero, over all rows; with the rank mod p as
+the lower bound that proves the rank, and an echelon-shape check proves
+the pivots.  An unlucky prime fails a check and the next one is taken.
 
 Determinants and pivot kernels run one forward elimination
 (:func:`pivot_kernels_fp`; :func:`det_fp` is its square case and
@@ -25,15 +36,17 @@ square-free decomposition, then Cantor-Zassenhaus) work over F_p only.
 
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
-their basis matrices.  Inside, a kernel is the basis that is the identity
-on the free columns, from one elimination (:func:`_kernel`), and
+their basis matrices.  Inside, a kernel mod p is the basis that is the
+identity on the free columns, from one elimination (:func:`_kernel`), and
 :func:`restrict_kernel` carries such bases unreduced; a basis is reduced
-to RREF once, where it is published (:func:`kernel_fp`, :func:`kernel_q`,
-``hilbert.square_perp_basis``).
+to RREF once, where it is published (:func:`kernel_fp`,
+``hilbert.square_perp_basis``).  Over Q the solver's right-greedy pivots
+make the kernel basis RREF as it comes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,32 +58,66 @@ from .poly import is_prime
 _MAX_PRIME = 1 << 26  # keeps k * p^2 < 2^63 for shared dimensions up to 2^11
 
 
-def _as_fp(mat, p: int) -> np.ndarray:
-    m = np.asarray(mat, dtype=object)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    out = np.empty(m.shape, dtype=np.int64)
-    flat_in, flat_out = m.ravel(), out.ravel()
-    for i, v in enumerate(flat_in):
-        if isinstance(v, Fraction):
-            if v.denominator % p == 0:
-                raise ValueError("denominator divisible by p; pick another prime")
-            flat_out[i] = v.numerator * pow(v.denominator, p - 2, p) % p
-        else:
-            flat_out[i] = int(v) % p
+def _exact_array(mat) -> tuple[np.ndarray, bool]:
+    """An exact matrix as a numpy array, and whether it holds Fractions.
+
+    The one input contract of both fields: every entry is an int (Python
+    or numpy integer) or a Fraction.  Anything else, a float dtype
+    included, raises TypeError; an empty input of any dtype is an empty
+    integer array.  The array has an integer dtype, or object dtype for
+    Python ints too large for int64 and for Fractions.
+    """
+    arr = np.asarray(mat)
+    if arr.size == 0:
+        return arr.astype(np.int64), False
+    if arr.dtype.kind == "u" and arr.dtype.itemsize >= 8:
+        arr = arr.astype(object)
+    if arr.dtype.kind in "biu":
+        return arr, False
+    if arr.dtype != object:
+        raise TypeError("exact matrices hold ints or Fractions, not %s"
+                        % arr.dtype)
+    kinds = set(map(type, arr.ravel().tolist()))
+    if not all(issubclass(t, (int, np.integer, Fraction)) for t in kinds):
+        raise TypeError("exact matrices hold ints or Fractions, not %s"
+                        % ", ".join(sorted(t.__name__ for t in kinds)))
+    return arr, any(issubclass(t, Fraction) for t in kinds)
+
+
+def _inverse_fp(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse of nonzero residues mod p, by a^(p-2)."""
+    out, base, e = np.ones_like(a), a % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
     return out
 
 
 def to_fp_matrix(mat, p: int) -> np.ndarray:
-    """Reduce an exact matrix (ints or Fractions) to residues mod p."""
+    """Reduce an exact array (ints or Fractions, see :func:`_exact_array`)
+    to int64 residues mod p, keeping its shape."""
     if p >= _MAX_PRIME:
         raise ValueError("prime too large for int64-exact arithmetic")
-    arr = np.asarray(mat)
-    if arr.dtype == object:
-        # Fractions and oversized ints; numpy would silently truncate these
-        # through int() if asked for an integer dtype directly.
-        return _as_fp(mat, p)
-    return arr.astype(np.int64, copy=False) % p
+    arr, fractions = _exact_array(mat)
+    if arr.dtype != object:
+        return arr.astype(np.int64, copy=False) % p
+    if not fractions:
+        return (arr % p).astype(np.int64)
+    num = (np.frompyfunc(_numerator, 1, 1)(arr) % p).astype(np.int64)
+    den = (np.frompyfunc(_denominator, 1, 1)(arr) % p).astype(np.int64)
+    if not den.all():
+        raise ValueError("denominator divisible by p; pick another prime")
+    return num * _inverse_fp(den, p) % p
+
+
+def _numerator(x):
+    return x.numerator
+
+
+def _denominator(x):
+    return x.denominator
 
 
 def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -80,25 +127,24 @@ def matmul_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def field_array(mat, p: int | None = None) -> np.ndarray:
-    """A fresh 2-D working array of an exact matrix: int64 residues mod p,
-    or object-dtype Fractions when p is None."""
-    if p is None:
-        m = np.frompyfunc(Fraction, 1, 1)(np.array(mat, dtype=object))
-    else:
-        m = to_fp_matrix(mat, p)
+def field_array(mat, p: int) -> np.ndarray:
+    """A fresh 2-D working array of an exact matrix: int64 residues mod p."""
+    m = to_fp_matrix(mat, p)
     return m.reshape(1, -1) if m.ndim == 1 else m
 
 
-def _rref(m: np.ndarray, p: int | None):
-    """Gauss-Jordan elimination of a working array, in place.
+def _rref(m: np.ndarray, p: int):
+    """Gauss-Jordan elimination of a working array mod p, in place.
 
-    One body for both fields: residues mod p, or Fractions when p is None.
     Only the rows with a nonzero entry in the pivot column are updated.
-    Returns (reduced array, rank, pivot column list).
+    Returns (reduced array, rank, pivot column list, pivot rows): the
+    pivot rows are the input rows each pivot was taken from, in pivot
+    order, so they are independent and the input restricted to them and
+    the pivot columns is invertible mod p.
     """
     nrows, ncols = m.shape
     pivots: list[int] = []
+    order = list(range(nrows))
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -109,30 +155,25 @@ def _rref(m: np.ndarray, p: int | None):
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        if p is None:
-            m[r, c:] = m[r, c:] / m[r, c]
-        else:
-            m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+            order[r], order[i] = order[i], order[r]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
         rows = np.flatnonzero(m[:, c])
         rows = rows[rows != r]
         if rows.size:
-            update = m[rows, c:] - np.outer(m[rows, c], m[r, c:])
-            m[rows, c:] = update if p is None else update % p
+            m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
-    return m, r, pivots
+    return m, r, pivots, order[:r]
 
 
-def _kernel(m: np.ndarray, p: int | None) -> np.ndarray:
-    """Basis of the right kernel of a working array from one Gauss-Jordan
-    elimination, in the array's own field: one row per free column, in
+def _kernel(m: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right kernel of a working array mod p from one
+    Gauss-Jordan elimination: one int64 row per free column, in
     increasing order, the identity on the free columns (not RREF)."""
-    red, rank, pivots = _rref(m, p)
+    red, rank, pivots, _ = _rref(m, p)
     free = np.setdiff1d(np.arange(m.shape[1]), pivots)
-    basis = field_array(np.eye(m.shape[1], dtype=np.int64)[free], p)
-    basis[:, pivots] = -red[:rank, free].T
-    if p is not None:
-        basis %= p
+    basis = np.eye(m.shape[1], dtype=np.int64)[free]
+    basis[:, pivots] = -red[:rank, free].T % p
     return basis
 
 
@@ -142,7 +183,7 @@ def rref_fp(mat, p: int):
     Returns (reduced int64 array, rank, pivot column list).  The input is
     not modified.
     """
-    return _rref(field_array(mat, p), p)
+    return _rref(field_array(mat, p), p)[:3]
 
 
 def rank_fp(mat, p: int) -> int:
@@ -271,23 +312,327 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
     return matmul_fp(_kernel(prod, p), basis, p)
 
 
-# -- rational path -------------------------------------------------------
+# -- rational path: one p-adic solver --------------------------------------
+
+# primes the solver tries in turn, then every prime below the last one; an
+# unlucky prime is caught by the exact checks and the next one is taken
+_Q_PRIMES = (67108859, 67108837, 67108819, 67108777)
+_LIMB = 26  # limb width, the bit size of the residues mod p < 2^26
+_MASK = (1 << _LIMB) - 1
+_HALF = _LIMB // 2
+_MARGIN = 20  # bits an early reconstruction must leave to spare
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _solver_primes():
+    yield from _Q_PRIMES
+    q = min(_Q_PRIMES) - 1
+    while q > 2:
+        if is_prime(q):
+            yield q
+        q -= 1
+
+
+def _bits(a: np.ndarray) -> int:
+    """Bit length of the largest absolute entry (0 for an empty array)."""
+    return int(np.abs(a).max()).bit_length() if a.size else 0
+
+
+def integer_rows(mat) -> np.ndarray:
+    """An exact matrix (see :func:`_exact_array`) as a 2-D integer array
+    with the same row span and kernel: each row times the lcm of its
+    denominators, divided by the gcd of its entries.  int64 when every
+    entry stays below 2^62, Python ints (object dtype) otherwise."""
+    arr, fractions = _exact_array(mat)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if fractions:
+        rows = []
+        for row in arr.tolist():
+            scale = math.lcm(*(x.denominator for x in row))
+            rows.append([int(x.numerator) * (scale // x.denominator)
+                         for x in row])
+        arr = np.array(rows, dtype=object).reshape(arr.shape)
+    if arr.dtype == object and _bits(arr) < 62:
+        arr = arr.astype(np.int64)
+    arr = arr if arr.dtype == object else arr.astype(np.int64, copy=False)
+    if arr.size:
+        content = np.gcd.reduce(arr, axis=1)
+        if (content > 1).any():
+            arr = arr // np.where(content > 1, content, 1)[:, None]
+    return arr
+
+
+def _limbs(a: np.ndarray) -> np.ndarray:
+    """Signed 26-bit limbs of an integer array: an int64 array of shape
+    (L, *a.shape) with a = sum_j limbs[j] * 2^(26 j) and |limbs| < 2^26."""
+    mag = np.abs(a)
+    out = np.empty((max(1, -(-_bits(a) // _LIMB)),) + a.shape,
+                   dtype=np.int64)
+    for j in range(len(out)):
+        out[j] = (mag >> (_LIMB * j)) & _MASK
+    out[:, np.asarray(a < 0, dtype=bool)] *= -1
+    return out
+
+
+def _carry(acc: np.ndarray, start: int = 0, stop: int | None = None):
+    """Move all but the low 26 bits of limbs start..stop-1 one limb up,
+    keeping sum_j acc[j] * 2^(26 j); the top limb takes the sign."""
+    for j in range(start, len(acc) - 1 if stop is None else stop):
+        acc[j + 1] += acc[j] >> _LIMB
+        acc[j] &= _MASK
+
+
+def _accumulate(acc: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int):
+    """acc += sign * (a @ b) exactly, for a float64 stack of 26-bit limbs
+    a (La, m, n) and an int64 one b (Lb, n, k), all in limb form.
+
+    The matmuls run in float64 (BLAS) and are exact: each limb of b is
+    split into 13-bit halves, so a product stays below 2^39 and a sum of
+    at most 2^13 of them below 2^52.  The 2^13 shift of the high half is
+    split between limbs s and s + 1, and each limb of ``acc`` takes at most
+    2 min(La, Lb) such sums between carries.
+    """
+    lb, n, k = b.shape
+    bt = b.transpose(1, 0, 2).reshape(n, lb * k)
+    halves = [(bt & ((1 << _HALF) - 1)).astype(np.float64),
+              (bt >> _HALF).astype(np.float64)]
+    for s in range(0, n, 1 << 13):
+        lo, hi = (np.matmul(a[:, :, s:s + (1 << 13)], h[s:s + (1 << 13)])
+                  .astype(np.int64).reshape(len(a), -1, lb, k)
+                  .transpose(0, 2, 1, 3) for h in halves)
+        for i in range(len(a)):
+            acc[i:i + lb] += sign * (lo[i] + ((hi[i] & ((1 << _HALF) - 1))
+                                             << _HALF))
+            acc[i + 1:i + lb + 1] += sign * (hi[i] >> _HALF)
+            if i % 256 == 255:
+                _carry(acc)
+        _carry(acc)
+
+
+def _dot_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays of any shared dimension."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], 1024):
+        out = (out + matmul_fp(a[:, s:s + 1024], b[s:s + 1024], p)) % p
+    return out
+
+
+def _padic_value(digits: list, p: int) -> np.ndarray:
+    """sum_i digits[i] * p^i in Python ints, combined pairwise."""
+    vals, q = [d.astype(object) for d in digits], p
+    while len(vals) > 1:
+        vals = [vals[i] + vals[i + 1] * q if i + 1 < len(vals) else vals[i]
+                for i in range(0, len(vals), 2)]
+        q *= q
+    return vals[0]
+
+
+def _denominator_of(u: int, modulus: int, bound: int, d_bound: int):
+    """The denominator t <= d_bound of the fraction n/t = u mod modulus
+    with |n| <= bound (Wang's half extended Euclid), or None."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if t1 and abs(t1) <= d_bound else None
+
+
+def _common_denominator(values: np.ndarray, modulus: int, bound: int):
+    """Vector rational reconstruction: (d, n) with n = d * values mod
+    modulus, every |n| <= bound and d <= bound, or None.
+
+    One pass over the entries in order: an entry that the denominator so
+    far does not make small multiplies it by its own reconstructed
+    denominator.  The numerators are then checked all at once, and a
+    numerator pushed past the bound by a later factor starts a new pass.
+    """
+    d, flat = 1, values.ravel().tolist()
+    while True:
+        w = values * d % modulus
+        w = np.where(w > modulus // 2, w - modulus, w)
+        big = np.flatnonzero(np.abs(w) > bound)
+        if not big.size:
+            return d, w
+        for e in big.tolist():
+            u = flat[e] * d % modulus
+            if min(u, modulus - u) <= bound:
+                continue
+            t = _denominator_of(u, modulus, bound, bound // d)
+            if t is None or t == 1:
+                return None
+            d *= t
+
+
+def _is_kernel(mf: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether M @ basis = 0 exactly, for M given by its float64 limbs and
+    an integer basis with one column per vector."""
+    bl = _limbs(basis)
+    acc = np.zeros((len(mf) + len(bl) + 1, mf.shape[1], basis.shape[1]),
+                   dtype=np.int64)
+    _accumulate(acc, mf, bl, 1)
+    return not acc.any()
+
+
+def _lift(m, mf, mp, rows, pivots, free, p, lower):
+    """Y = A^-1 B over Q, A = M[rows, pivots] and B = M[rows, free], by
+    Dixon's p-adic lifting mod p.
+
+    ``mf`` holds the limbs of M (float64) and ``mp`` its residues mod p.
+    Returns (d, W) with Y = W / d once it is proved: M times the basis
+    with W on the pivot columns and -d I on the free ones is exactly zero,
+    and W vanishes where the boolean mask ``lower`` is set (the echelon
+    shape; ``lower`` is None for no shape).  Returns None when the prime
+    was unlucky: the rank or the greedy pivots of M differ over Q.
+
+    The residual B - A x stays in 26-bit limbs, so each step is one
+    matmul mod p, exact float64 limb matmuls (:func:`_accumulate`) and a
+    limb division by p.  The p-adic value is reconstructed whenever the
+    digit count k doubles and at the Hadamard bound k_max.  An early
+    candidate must leave ``_MARGIN`` bits to spare; one that fails the
+    check sends the lift on to k_max, where the reconstruction is the
+    exact Y.
+    """
+    r, k = len(pivots), len(free)
+    if not k:
+        return 1, np.zeros((r, 0), dtype=object)
+    top = m[rows]
+    al = mf[:, rows][:, :, pivots]
+    # Hadamard: |det A| <= prod of the column norms =: H, and Cramer's
+    # numerators are at most H times the largest column norm of B
+    half_log_r = 0.5 * math.log2(max(r, 2))
+    log_n = half_log_r + _bits(top[:, free]) + sum(
+        _bits(top[:, c]) + half_log_r for c in pivots)
+    k_max = max(1, math.ceil((2 * log_n + _MARGIN + 2) / math.log2(p)))
+    # |residual| < max|B| + r max|A|; before the division by p, p times that
+    res = np.zeros((len(mf) + 3, r, k), dtype=np.int64)
+    res[:len(mf)] = mf[:, rows][:, :, free]
+    _carry(res)
+    aug = np.hstack([mp[rows][:, pivots], np.eye(r, dtype=np.int64)])
+    inverse = _rref(aug, p)[0][:, r:]
+    shift = pow(2, _LIMB, p)
+    value, modulus, steps, digits, target = 0, 1, 0, [], 1
+    while True:
+        v = res[-1] % p
+        for j in range(len(res) - 2, -1, -1):
+            v = (v * shift + res[j]) % p
+        y = _dot_fp(inverse, v, p)
+        digits.append(y)
+        _accumulate(res, al, y[None], -1)
+        for j in range(len(res) - 1, 0, -1):
+            res[j], rem = np.divmod(res[j], p)
+            res[j - 1] += rem << _LIMB
+        res[0] //= p
+        if len(digits) < target:
+            continue
+        # fold the digits since the last attempt into the p-adic value
+        value = value + _padic_value(digits, p) * modulus
+        modulus *= p ** len(digits)
+        steps, digits = steps + len(digits), []
+        cand = _common_denominator(value, modulus,
+                                   math.isqrt(modulus >> (_MARGIN + 1)))
+        if cand is not None:
+            d, w = cand
+            basis = np.zeros((m.shape[1], k), dtype=object)
+            basis[pivots] = w
+            basis[free, range(k)] = -d
+            if _is_kernel(mf, basis):
+                shaped = lower is None or not w[lower].any()
+                return (d, w) if shaped else None
+        if steps >= k_max:
+            return None
+        target = k_max - steps if cand is not None else \
+            min(steps, k_max - steps)
+
+
+def _solve(m: np.ndarray, right: bool = False, shaped: bool = True):
+    """The verified solve behind the rational entry points.
+
+    Takes pivot columns mod each prime of :func:`_solver_primes` in turn
+    (left-greedy, or right-greedy on the column-reversed matrix when
+    ``right``), with independent pivot rows, and lifts the solve over Q
+    (:func:`_lift`).  With ``shaped`` the solution must have the echelon
+    shape of those pivots, which makes them the greedy pivots over Q.
+    Returns (rank, pivots, free columns, d, W).  Without ``shaped`` (the
+    rank alone) a mod-p rank of min(m, n) is proved already, and W is
+    then None.
+    """
+    nrows, ncols = m.shape
+    mf = None
+    for p in _solver_primes():
+        mp = (m % p).astype(np.int64)
+        work = mp[:, ::-1].copy() if right else mp.copy()
+        _, rank, pivots, rows = _rref(work, p)
+        if right:
+            pivots = sorted(ncols - 1 - c for c in pivots)
+        is_pivot = set(pivots)
+        free = [c for c in range(ncols) if c not in is_pivot]
+        if not shaped and rank == min(nrows, ncols):
+            return rank, pivots, free, 1, None
+        mf = _limbs(m).astype(np.float64) if mf is None else mf
+        lower = None
+        if shaped:
+            piv, fr = np.array(pivots)[:, None], np.array(free)[None, :]
+            lower = (fr > piv) if right else (fr < piv)
+        found = _lift(m, mf, mp, rows, pivots, free, p, lower)
+        if found is not None:
+            return (rank, pivots, free) + found
+    raise AssertionError("unreachable: the primes do not run out")
+
+
+def _kernel_rows(ncols, pivots, free, d, w) -> list:
+    """The kernel basis that is the identity on the free columns and
+    -W / d on the pivot columns, as Fraction rows."""
+    out = []
+    for j, f in enumerate(free):
+        row = [_ZERO] * ncols
+        row[f] = _ONE
+        for i, c in enumerate(pivots):
+            if w[i][j]:
+                row[c] = Fraction(-w[i][j], d)
+        out.append(row)
+    return out
 
 
 def rref_q(mat):
     """Reduced row echelon form over Q: (list of Fraction rows, rank,
-    pivot column list)."""
-    red, rank, pivots = _rref(field_array(mat), None)
-    return red.tolist(), rank, pivots
+    pivot column list), one row per input row, zero rows last."""
+    m = integer_rows(mat)
+    rank, pivots, free, d, w = _solve(m)
+    rows = [[_ZERO] * m.shape[1] for _ in range(m.shape[0])]
+    w = w.tolist()
+    for i, c in enumerate(pivots):
+        rows[i][c] = _ONE
+        for j, f in enumerate(free):
+            if w[i][j]:
+                rows[i][f] = Fraction(w[i][j], d)
+    return rows, rank, pivots
 
 
 def rank_q(mat) -> int:
-    return rref_q(mat)[1]
+    """Rank over Q: the mod-p rank, proved by a verified kernel of the
+    matrix or of its transpose, whichever is smaller, unless it is full."""
+    m = integer_rows(mat)
+    return _solve(m.T if m.shape[0] < m.shape[1] else m, shaped=False)[0]
 
 
 def kernel_q(mat):
-    """Right-kernel basis over Q, RREF-canonical rows of Fractions."""
-    return _rref(_kernel(field_array(mat), None), None)[0].tolist()
+    """Right-kernel basis over Q, RREF-canonical rows of Fractions.
+
+    The pivots are right-greedy, so the basis that is the identity on the
+    free columns is already the RREF of the kernel (matroid duality); the
+    echelon-shape check proves it."""
+    m = integer_rows(mat)
+    _, pivots, free, d, w = _solve(m, right=True)
+    return _kernel_rows(m.shape[1], pivots, free, d, w.tolist())
+
+
+def _free_kernel_q(mat):
+    """The kernel basis over Q that is the identity on the free columns of
+    the left-greedy pivots (the basis :func:`_kernel` gives mod p)."""
+    m = integer_rows(mat)
+    _, pivots, free, d, w = _solve(m)
+    return _kernel_rows(m.shape[1], pivots, free, d, w.tolist())
 
 
 # -- one field switch -------------------------------------------------------

@@ -24,6 +24,7 @@ from apolar.apolarity import (
     translated_apolar,
 )
 from apolar.constructions import fiber_point, random_cubic, sum_of_cubes
+from fraction_reference import free_kernel_reference
 from apolar.poly import (
     Poly,
     coefficient_vector,
@@ -261,6 +262,19 @@ def test_translated_apolar_over_q_reduces_to_mod_p():
     assert exact.length == modular.length == 14
     assert len(exact.generators) == len(modular.generators)
     assert _slice_span(exact.generators) == _slice_span(modular.generators)
+
+
+def test_translated_apolar_over_q_keeps_its_generator_list(monkeypatch):
+    # the generators come from the free-column kernel basis of one
+    # elimination; the p-adic solver must give exactly the basis that
+    # Fraction Gauss-Jordan elimination gives
+    F3, Q = fiber_point(seed=2)
+    f, w = F3 + Q, (1, 0, 2, 0, 0, 3)
+    solved = translated_apolar(f, w)
+    monkeypatch.setattr(linalg, "_free_kernel_q", free_kernel_reference)
+    reference = translated_apolar(f, w)
+    assert solved.generators == reference.generators
+    assert solved.length == reference.length == 14
 
 
 def test_translated_apolar_generators_kill_translated_data():

@@ -36,6 +36,7 @@ from apolar.hilbert import (
 )
 from apolar.poly import (
     Poly,
+    change_of_basis,
     coefficient_vector,
     contract,
     dp_mul,
@@ -80,21 +81,29 @@ def test_square_perp_dims_fixture_rational():
 
 
 def test_rational_perp4_runs_one_certificate_prime_perp(monkeypatch):
-    primes = []
-    orig = hilbert.square_perp_basis
+    # the certificate-prime bound is one pairing rank (_cert_dim), not a
+    # modular square_perp_basis
+    primes, bounds = [], []
+    orig, orig_bound = hilbert.square_perp_basis, hilbert._cert_dim
 
     def counted(F, d, p=None, slices=None):
         primes.append(p)
         return orig(F, d, p, slices)
 
+    def bound(F, d, slices):
+        bounds.append((d, slices.cert.p))
+        return orig_bound(F, d, slices)
+
     monkeypatch.setattr(hilbert, "square_perp_basis", counted)
+    monkeypatch.setattr(hilbert, "_cert_dim", bound)
     assert perp4_dim(sum_of_cubes()) == 36
-    assert primes == [None, hilbert._CERT_PRIME]
+    assert primes == [None]
+    assert bounds == [(4, hilbert._CERT_PRIME)]
 
 
 def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
     calls = {"square_perp_basis": [], "is_nondegenerate_cubic": [],
-             "ann_degree": []}
+             "ann_degree": [], "_cert_dim": []}
     for name, record in calls.items():
         orig = getattr(hilbert, name)
 
@@ -105,8 +114,10 @@ def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
         monkeypatch.setattr(hilbert, name, counted)
     assert perp_dimensions(random_cubic(0)) == {4: 6, 5: 0, 6: 0, 7: 0}
     q = hilbert._CERT_PRIME
-    # one certificate-prime perp per computed degree
-    assert [args[1] for args in calls["square_perp_basis"]] == [None, q] * 2
+    # one certificate-prime bound per computed degree; the degree-5 one
+    # starts from the rational degree-4 perp, so no modular perp runs
+    assert [args[1] for args in calls["square_perp_basis"]] == [None] * 2
+    assert [args[0] for args in calls["_cert_dim"]] == [4, 5]
     assert calls["is_nondegenerate_cubic"] == [(None,), (q,)]
     assert calls["ann_degree"] == [(2, q), (2, None), (3, q)]
 
@@ -217,6 +228,24 @@ def test_rational_certificate_products_are_integers(monkeypatch):
     ((quadrics, prods),) = seen
     assert {type(c) for q in quadrics for c in q.terms.values()} == {int}
     assert {type(c) for c in prods.ravel()} == {int}
+
+
+# an integer change of variables with entries in [-2, 2], det -66
+GL6 = [[1, 2, 0, -1, 0, 0], [0, 1, -2, 0, 1, 0], [1, 0, 1, 0, 0, 2],
+       [0, -1, 0, 1, 2, 0], [2, 0, 0, 0, 1, -1], [0, 0, 1, -2, 0, 1]]
+
+
+@pytest.mark.parametrize("make,perp4", [(lambda: random_cubic(0), 6),
+                                         (lambda: waring_sum(9, 0)[0], 15)],
+                         ids=["random", "waring9-on-E"])
+def test_rational_analysis_is_gl6_equivariant(make, perp4):
+    F = make()
+    moved = change_of_basis(F, GL6)
+    assert moved != F
+    a, b = analyze(F, field_kind="q"), analyze(moved, field_kind="q")
+    assert (a.perp_dims, a.tangent_dim, a.on_E) == \
+        (b.perp_dims, b.tangent_dim, b.on_E)
+    assert a.perp_dims[4] == perp4 and a.on_E == (perp4 > 6)
 
 
 def test_tangent_dimension_values():

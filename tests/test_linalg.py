@@ -9,6 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import linalg
+from fraction_reference import (
+    free_kernel_reference,
+    kernel_reference,
+    rref_reference,
+)
 
 P = 67108859  # prime, fits the int64-exact budget
 SMALL_P = 7   # small enough that reduction often drops a rank
@@ -45,6 +50,40 @@ def test_to_fp_matrix_bad_denominator():
         linalg.to_fp_matrix([[Fraction(1, P)]], P)
 
 
+@pytest.mark.parametrize("mat", [
+    [[0.5, 1.7]],
+    np.array([[0.5, 0.25]]),
+    np.array([[1, 2]], dtype=np.float32),
+    [["1/2", 1]],
+    np.array([[Fraction(1, 2), 0.5]], dtype=object),
+], ids=["float-list", "float64", "float32", "strings", "object-float"])
+def test_both_fields_reject_floats_and_strings(mat):
+    # one input contract: ints and Fractions; a float used to be
+    # truncated mod p (rank_fp([[0.5, 0.25]], P) was 0) and taken as
+    # Fraction(x) over Q
+    calls = (lambda: linalg.to_fp_matrix(mat, P),
+             lambda: linalg.rank_fp(mat, P),
+             lambda: linalg.rref_q(mat),
+             lambda: linalg.kernel_q(mat),
+             lambda: linalg.rank_q(mat))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_both_fields_take_python_and_numpy_ints_and_fractions():
+    mat = np.array([[np.int64(3), Fraction(1, 2), 2 ** 70],
+                    [1, np.int32(-4), Fraction(-7, 3)]], dtype=object)
+    want = [[3, pow(2, P - 2, P), pow(2, 70, P)],
+            [1, P - 4, (-7 * pow(3, P - 2, P)) % P]]
+    assert linalg.to_fp_matrix(mat, P).tolist() == want
+    assert linalg.rank_q(mat) == linalg.rank_fp(mat, P) == 2
+    assert linalg.rank_q(np.array([[1, 2], [2, 4]], dtype=np.uint64)) == 1
+    # an empty input has no entry to object to, whatever numpy calls it
+    assert linalg.rank_q(np.zeros((0, 3))) == 0
+    assert linalg.kernel_fp(np.zeros((0, 2)), P).tolist() == [[1, 0], [0, 1]]
+
+
 def test_rref_and_rank_fp():
     mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     red, rank, pivots = linalg.rref_fp(mat, P)
@@ -75,6 +114,114 @@ def test_kernel_q_annihilates():
     assert len(kern) == 1
     v = kern[0]
     assert [sum(Fraction(a) * b for a, b in zip(row, v)) for row in mat] == [0, 0]
+
+
+# entries of every kind the rational solver meets: small ints, ints of at
+# least 2^100, and Fractions
+exact_entries = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda a, neg: -a if neg else a,
+              st.integers(2 ** 100, 2 ** 110), st.booleans()),
+    st.fractions(-20, 20, max_denominator=30),
+)
+
+
+@st.composite
+def exact_matrices(draw):
+    """Lists of rows, numpy object arrays (0 x n included) or one 1-D row,
+    often with a zero row or a row dependent on two others."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    rows = [draw(st.lists(exact_entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        a = draw(st.fractions(-3, 3, max_denominator=5))
+        rows.append([a * x + y for x, y in zip(rows[0], rows[1])])
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    form = draw(st.sampled_from(["list", "array", "row"]))
+    if form == "row" and rows:
+        return rows[0]
+    if form == "array":
+        arr = np.empty((len(rows), ncols), dtype=object)
+        arr[...] = rows if rows else arr
+        return arr
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_matrices())
+def test_rational_solver_matches_the_fraction_reference(mat):
+    red, rank, pivots = rref_reference(mat)
+    got = linalg.rref_q(mat)
+    assert got == (red, rank, pivots)
+    assert linalg.rank_q(mat) == rank
+    kern, free_kern = linalg.kernel_q(mat), linalg._free_kernel_q(mat)
+    assert kern == kernel_reference(mat)
+    assert free_kern == free_kernel_reference(mat)
+    # Fraction for Fraction, not just equal values
+    assert all(type(x) is Fraction
+               for rows in (got[0], kern, free_kern) for row in rows
+               for x in row)
+
+
+def _spy_primes(monkeypatch, first):
+    """Make ``first`` the solver's first prime, then P; returns the list
+    of (prime, accepted) that the lifts record."""
+    monkeypatch.setattr(linalg, "_Q_PRIMES", (first, P))
+    tried = []
+    lift = linalg._lift
+
+    def recording(*args):
+        out = lift(*args)
+        tried.append((args[6], out is not None))
+        return out
+
+    monkeypatch.setattr(linalg, "_lift", recording)
+    return tried
+
+
+def test_a_prime_dividing_a_pivot_minor_is_skipped(monkeypatch):
+    mat = [[1, 2], [3, 13]]  # determinant 7
+    assert linalg.rank_fp(mat, 7) == 1
+    tried = _spy_primes(monkeypatch, 7)
+    assert linalg.rank_q(mat) == 2
+    assert tried == [(7, False)]  # rank 2 mod P is full: no lift
+    for call, want in ((linalg.kernel_q, []),
+                       (linalg.rref_q, rref_reference(mat))):
+        tried.clear()
+        assert call(mat) == want
+        assert tried == [(7, False), (P, True)]
+
+
+def test_a_prime_that_moves_the_greedy_pivots_is_skipped(monkeypatch):
+    mat = [[1, 1, 0], [0, 7, 1]]  # pivots [0, 1] over Q, [0, 2] mod 7
+    assert linalg.rref_fp(mat, 7)[2] == [0, 2]
+    tried = _spy_primes(monkeypatch, 7)
+    assert linalg.rref_q(mat) == rref_reference(mat)
+    assert tried == [(7, False), (P, True)]
+
+
+def test_a_prime_that_breaks_the_kernel_shape_is_skipped(monkeypatch):
+    # the right-greedy pivot is column 2 over Q and column 1 mod 7, so
+    # the basis mod 7 is not in echelon form over Q
+    mat = [[1, 1, 7]]
+    tried = _spy_primes(monkeypatch, 7)
+    assert linalg.kernel_q(mat) == kernel_reference(mat)
+    assert tried == [(7, False), (P, True)]
+
+
+def test_the_solver_goes_on_past_its_prime_list(monkeypatch):
+    monkeypatch.setattr(linalg, "_Q_PRIMES", (7,))
+    assert linalg.rank_q([[1, 2], [3, 13]]) == 2
+
+
+def test_exact_kernel_check_sees_a_unit_in_the_last_place():
+    a, b = 3 ** 300 + 1, 5 ** 200 - 2
+    m = np.array([[a, b], [2 * a, 2 * b]], dtype=object)
+    mf = linalg._limbs(m).astype(np.float64)
+    assert linalg._is_kernel(mf, np.array([[b], [-a]], dtype=object))
+    assert not linalg._is_kernel(mf, np.array([[b], [1 - a]], dtype=object))
+    assert not linalg._is_kernel(mf, np.array([[b + 1], [-a]], dtype=object))
 
 
 def _is_rref(rows):
