@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .apolarity import (
 from .poly import (
     Poly,
     coefficient_vector,
-    contract,
     dim_degree,
     is_prime,
     monomial_index,
@@ -377,11 +377,13 @@ def ev_product_matrix(quadric_basis: list[Poly], F: Poly, p: int | None = None):
     for q in quadric_basis:
         if q.ring != "S" or q.is_zero() or q.degree() != 2:
             raise ValueError("ev rows must be degree-2 operators")
-    if linalg.rank([coefficient_vector(contract(q, F), 1)
-                    for q in quadric_basis], p):
-        raise ValueError("a quadric in the basis does not annihilate F")
     qs = np.array([coefficient_vector(q, 2) for q in quadric_basis],
                   dtype=object)
+    # q ∘ F is the row of q's coefficients times the catalecticant of F
+    cat = catalecticant(F, 2, p)
+    if (qs @ cat if p is None else
+            linalg.matmul_fp(linalg.to_fp_matrix(qs, p), cat, p)).any():
+        raise ValueError("a quadric in the basis does not annihilate F")
     rows = _products(qs, qs, 2, 2, F.n)[np.triu_indices(15)]
     if p is not None:
         return linalg.to_fp_matrix(rows, p)
@@ -611,19 +613,30 @@ def _chart_columns(chart: tuple, n: int) -> list[int]:
 _NODE_BATCH = 32  # nodes eliminated as one stack; bounds its working memory
 
 
+class _NodeData(NamedTuple):
+    """The per-node data of one prime, stacked along the nodes (see
+    :func:`_collect_node_data`)."""
+
+    us: np.ndarray         # the nodes u
+    d: np.ndarray          # det M(u)[:, F^c], 0 where M(u) drops rank
+    sign_free: np.ndarray  # eps(F)
+    kernels: np.ndarray    # the 6 x 126 kernels K (zero where d = 0)
+    witness: np.ndarray    # the 6 x 126 witness rows W(u)
+
+
 def _collect_node_data(F1, F2, sections, nodes, p):
     """Per node u: the kernel data of the 120 x 126 product matrix M(u) of
     the section values, and the 6 x 126 witness rows W(u) of the fiber
     cubic u*F1 + F2, all mod p.
 
     Returns M(u_0), built directly from the section values at the first
-    node (the only M(u) formed; the spot check reads it), and per node
-    (u, d, eps(F), K, W(u)): the kernel K of M(u), which is the identity
-    on the columns F, the sign ``linalg.shuffle_sign`` of F, and
-    d = det M[:, F^c] (0 where M drops rank, and then every minor is 0).
-    By the complementary-minor identity the chart minor dropping the
-    columns S is eps(S) * eps(F) * d * det K[:, S]; the chart unit keeps
-    exactly those columns of W(u).
+    node (the only M(u) formed; the spot check reads it), and the
+    :class:`_NodeData` of all nodes, one array per field: the kernel K of
+    M(u), which is the identity on the columns F, the sign
+    ``linalg.shuffle_sign`` of F, and d = det M[:, F^c] (0 where M drops
+    rank, and then every minor is 0).  By the complementary-minor identity
+    the chart minor dropping the columns S is eps(S) * eps(F) * d *
+    det K[:, S]; the chart unit keeps exactly those columns of W(u).
 
     M(u) = M0 + u*M1 + u^2*M2, and the rows where M1 and M2 vanish (the
     products of two constant sections) do not move with u.  Those rows C
@@ -660,21 +673,23 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     n0, n1, n2 = (linalg.matmul_fp(mk[~fixed], k_fixed.T, p)
                   for mk in (m0, m1, m2))
     fixed_factor = linalg.shuffle_sign(np.flatnonzero(fixed)) * d_fixed
-    data = []
-    for start in range(0, len(nodes), _NODE_BATCH):
-        batch = nodes[start:start + _NODE_BATCH]
-        us = np.array(batch, dtype=np.int64)[:, None, None]
-        stack = (n0 + us * n1 + us * us % p * n2) % p
-        for u, (d, pivots, kernel) in zip(batch,
-                                          linalg.pivot_kernels_fp(stack, p)):
+    us = np.array(nodes, dtype=np.int64)
+    out = _NodeData(us, np.zeros_like(us), np.zeros_like(us),
+                    np.zeros((len(us), dim4 - len(first), dim4), np.int64),
+                    (w1 * us[:, None, None] + w2) % p)
+    for start in range(0, len(us), _NODE_BATCH):
+        batch = us[start:start + _NODE_BATCH, None, None]
+        stack = (n0 + batch * n1 + batch * batch % p * n2) % p
+        for i, (d, pivots, kernel) in enumerate(
+                linalg.pivot_kernels_fp(stack, p), start):
             q = np.sort(np.concatenate([piv_fixed, free_fixed[pivots]]))
-            d_full = (fixed_factor * d * linalg.shuffle_sign(
+            out.d[i] = (fixed_factor * d * linalg.shuffle_sign(
                 np.searchsorted(q, piv_fixed))) % p
-            free = np.delete(free_fixed, pivots)
-            data.append((u, d_full, linalg.shuffle_sign(free),
-                         linalg.matmul_fp(kernel, k_fixed, p),
-                         (w1 * u + w2) % p))
-    return first, data
+            if out.d[i]:
+                out.sign_free[i] = linalg.shuffle_sign(
+                    np.delete(free_fixed, pivots))
+                out.kernels[i] = linalg.matmul_fp(kernel, k_fixed, p)
+    return first, out
 
 
 def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
@@ -697,7 +712,11 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
     in one stacked elimination (see :func:`_collect_node_data`), and every
     chart reads its minor from the resulting 6 x 126 kernel by the
     complementary-minor identity (Grassmann duality Gr(120,126) =
-    Gr(6,126)), a 6 x 6 determinant.  The determinant comes from
+    Gr(6,126)), a 6 x 6 determinant.  A chart is evaluated at all nodes
+    by two stacked eliminations (:func:`linalg.pivot_kernels_fp`): one of
+    the 6 x 6 unit blocks W(u)[:, chart columns], one of the kernel
+    blocks K[:, dropped] of the nodes where M(u) has full rank (the minor
+    is 0 at the others).  The determinant comes from
     ``chart_cubic`` when given, else from the first usable cubic monomial.
     The first usable monomial after it, in cyclic monomial order, verifies
     it: the two monic determinants must be equal.  Both read the same kernels, so this
@@ -745,27 +764,29 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
         if u not in seen:
             seen.add(u)
             nodes.append(u)
-    first_matrix, node_data = _collect_node_data(F1, F2, sections, nodes, p)
+    first_matrix, data = _collect_node_data(F1, F2, sections, nodes, p)
+    live = np.flatnonzero(data.d)
 
-    def raw_minor(node, dropped):
-        # det M(u)[:, dropped^c] by the complementary-minor identity
-        _, d, sign_free, kernel, _ = node
-        if not d:
-            return 0
-        sign = linalg.shuffle_sign(dropped) * sign_free
-        return sign * d * linalg.det_fp(kernel[:, dropped], p) % p
+    def raw_minors(dropped, at):
+        # det M(u)[:, dropped^c] at the nodes ``at`` (each with d != 0) by
+        # the complementary-minor identity: one stacked elimination of the
+        # 6 x 6 blocks K[:, dropped]
+        minors = [m for m, _, _ in linalg.pivot_kernels_fp(
+            data.kernels[:, :, dropped][at], p)]
+        return (linalg.shuffle_sign(dropped) * data.sign_free[at]
+                * data.d[at] % p * minors % p)
 
     def chart_determinant(chart_expo: tuple):
         chart_cols = _chart_columns(chart_expo, n)
         dropped = sorted(chart_cols)
-        unit_vals = [(node[0], linalg.det_fp(node[4][:, chart_cols], p))
-                     for node in node_data]
-        dunit = linalg.interpolate(unit_vals, 6, p)
+        units = [m for m, _, _ in linalg.pivot_kernels_fp(
+            data.witness[:, :, chart_cols], p)]
+        dunit = linalg.interpolate(list(zip(nodes, units)), 6, p)
         if not dunit:
             raise ValueError("chart unit vanishes identically (bad chart)")
-        raw_vals = [(node[0], raw_minor(node, dropped))
-                    for node in node_data]
-        draw = linalg.interpolate(raw_vals, bound, p)
+        raw = np.zeros_like(data.d)
+        raw[live] = raw_minors(dropped, live)
+        draw = linalg.interpolate(list(zip(nodes, raw.tolist())), bound, p)
         if not draw:
             raise ValueError("chart minor identically zero (degenerate chart)")
         quo, rem = linalg.poly_divmod_fp(draw, dunit, p)
@@ -779,10 +800,11 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
         chart_determinant, n, chart)
     dropped = sorted(_chart_columns(chart, n))
     direct = linalg.det_fp(np.delete(first_matrix, dropped, axis=1), p)
-    if direct != raw_minor(node_data[0], dropped):
+    identity = raw_minors(dropped, [0])[0] if data.d[0] else 0
+    if direct != identity:
         raise ValueError(
             "chart %s minor at u = %d disagrees with its kernel identity"
-            % (chart, node_data[0][0]))
+            % (chart, nodes[0]))
     roots = linalg.roots_fp(monic, p, seeded_rng(seed, "roots:%d" % p))
     return PencilProfile(chart, p, monic, raw_degree, unit_degree, roots,
                          len(monic) - 1)

@@ -33,6 +33,9 @@ kernel it returns, the identity on the free columns, gives every maximal
 minor through the complementary-minor identity (see :func:`shuffle_sign`).
 Univariate interpolation (Newton divided differences) and roots (Yun's
 square-free decomposition, then Cantor-Zassenhaus) work over F_p only.
+Many residues are inverted at once by Montgomery's trick
+(:func:`_inverse_fp`): the pivots of a stacked elimination, the node
+differences of an interpolation, the denominators of a Fraction matrix.
 
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
@@ -84,14 +87,26 @@ def _exact_array(mat) -> tuple[np.ndarray, bool]:
     return arr, any(issubclass(t, Fraction) for t in kinds)
 
 
-def _inverse_fp(a: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse of nonzero residues mod p, by a^(p-2)."""
-    out, base, e = np.ones_like(a), a % p, p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
+def _inverse_fp(values: list, p: int) -> list:
+    """Inverses mod p of a list of integers, by Montgomery's trick
+    (Montgomery 1987, 10.3.1): the prefix products, one inverse of the last
+    by x^(p-2), then one backward pass, three products per entry in all.
+
+    Raises ValueError when an entry is 0 mod p: the product of the entries
+    is then 0, and no entry is given a wrong inverse.
+    """
+    prefix, acc = [], 1
+    for x in values:
+        acc = acc * x % p
+        prefix.append(acc)
+    if not acc:
+        raise ValueError("no inverse mod %d: a residue is 0" % p)
+    inv, out = pow(acc, p - 2, p), [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % p
+        inv = inv * values[i] % p
+    if values:
+        out[0] = inv
     return out
 
 
@@ -109,7 +124,8 @@ def to_fp_matrix(mat, p: int) -> np.ndarray:
     den = (np.frompyfunc(_denominator, 1, 1)(arr) % p).astype(np.int64)
     if not den.all():
         raise ValueError("denominator divisible by p; pick another prime")
-    return num * _inverse_fp(den, p) % p
+    inverses = _inverse_fp(den.ravel().tolist(), p)
+    return num * np.array(inverses, dtype=np.int64).reshape(den.shape) % p
 
 
 def _numerator(x):
@@ -209,7 +225,11 @@ def pivot_kernels_fp(stack, p: int) -> list:
     block is updated without ``% p``, so its entries stay below
     min(nrows, ncols) * (p-1)^2 + p in absolute value.  The matrices share
     every numpy step while their pivot columns agree; a column that is a
-    pivot for some of them and free for the others splits the stack.
+    pivot for some of them and free for the others splits the stack.  The
+    pivots of a column are inverted as one batch (:func:`_inverse_fp`).
+    On a stack of square matrices each d is the determinant, so the
+    pencil's chart walk evaluates the 6 x 6 minors of a chart at all of
+    its nodes with one call.
     """
     shape = np.shape(stack)
     if len(shape) != 3:
@@ -251,7 +271,7 @@ def pivot_kernels_fp(stack, p: int) -> list:
             m[:, r, c:] %= p
             piv = m[:, r, c]
             d = d * piv % p
-            inverses.append(np.array([pow(x, p - 2, p) for x in piv.tolist()],
+            inverses.append(np.array(_inverse_fp(piv.tolist(), p),
                                      dtype=np.int64))
             factors = m[:, r + 1:, c] * inverses[-1][:, None] % p
             m[:, r + 1:, c + 1:] -= factors[:, :, None] * m[:, r, None, c + 1:]
@@ -293,7 +313,10 @@ def shuffle_sign(cols) -> int:
 
 
 def det_fp(mat, p: int) -> int:
-    """Determinant mod p: the square case of :func:`pivot_kernels_fp`."""
+    """Determinant mod p of one 2-D matrix: the square case of
+    :func:`pivot_kernels_fp`.  A 6 x 6 call is almost all per-call numpy
+    overhead, so many small determinants go to :func:`pivot_kernels_fp`
+    as one stack instead."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("determinant of a non-square matrix")
@@ -757,8 +780,10 @@ def interpolate(samples, bound: int, p: int) -> list:
     bound shows up as an inconsistency, not a silent bad answer).
 
     The first bound+1 samples give Newton divided differences, and the
-    Newton form is expanded by Horner's rule.  Returns ascending
-    coefficients, trailing zeros trimmed.
+    Newton form is expanded by Horner's rule.  The node differences of the
+    divided differences are inverted as one batch (:func:`_inverse_fp`,
+    one modular exponentiation per fit).  Returns ascending coefficients,
+    trailing zeros trimmed.
     """
     nodes = [s[0] % p for s in samples]
     if len(set(nodes)) != len(nodes):
@@ -768,10 +793,14 @@ def interpolate(samples, bound: int, p: int) -> list:
     base, extra = samples[: bound + 1], samples[bound + 1:]
     xs = [x % p for x, _ in base]
     dd = [y % p for _, y in base]
-    # after pass k, dd[i] (i >= k) is the divided difference f[x_{i-k}..x_i]
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * pow(xs[i] - xs[i - k], p - 2, p) % p
+    # after pass k, dd[i] (i >= k) is the divided difference f[x_{i-k}..x_i];
+    # the node differences of all passes are inverted as one batch
+    passes = [range(len(xs) - 1, k - 1, -1) for k in range(1, len(xs))]
+    inverses = iter(_inverse_fp([xs[i] - xs[i - k] for k, rows in
+                                 enumerate(passes, 1) for i in rows], p))
+    for rows in passes:
+        for i in rows:
+            dd[i] = (dd[i] - dd[i - 1]) * next(inverses) % p
     coeffs = [dd[-1]]
     for k in range(len(xs) - 2, -1, -1):
         # coeffs <- coeffs * (u - x_k) + dd[k]

@@ -195,9 +195,10 @@ def test_witness_rows_match_dp_mul():
 
 def test_rational_analysis_runs_each_rank_once(monkeypatch):
     # one rank in random_cubic's nondegeneracy check, four for the Hilbert
-    # function, one nondegeneracy check before the perps and one for the
-    # 15 stacked contractions in ev_product_matrix; the witness span of
-    # the degree-4 certificate needs no separate rank
+    # function and one nondegeneracy check before the perps; ev_product_matrix
+    # checks annihilation with one product, not a rank of the 15
+    # contractions, and the witness span of the degree-4 certificate needs
+    # no separate rank
     calls = []
     orig = linalg.rank_q
 
@@ -208,8 +209,8 @@ def test_rational_analysis_runs_each_rank_once(monkeypatch):
     monkeypatch.setattr(linalg, "rank_q", counted)
     rep = analyze(random_cubic(3), field_kind="q")
     assert rep.tangent_dim == 76
-    assert len(calls) == 7
-    assert calls.count(15) == 1
+    assert len(calls) == 6
+    assert calls.count(15) == 0
 
 
 def test_rational_certificate_products_are_integers(monkeypatch):
@@ -303,6 +304,16 @@ def test_ev_product_matrix_rejects_non_annihilators():
         ev_product_matrix(qs, F, P)
     with pytest.raises(ValueError):
         ev_product_matrix(qs[:4], F, P)
+
+
+@pytest.mark.parametrize("p", [P, None], ids=["mod-p", "rational"])
+def test_ev_product_matrix_rejects_one_non_annihilating_quadric(p):
+    F = _fixture()
+    qs = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2, p).rows]
+    assert ev_product_matrix(qs, F, p).shape == (120, 126)
+    qs[7] = parse_poly("a0*a1", "S", 6)  # a0*a1 ∘ F = x3
+    with pytest.raises(ValueError, match="does not annihilate F"):
+        ev_product_matrix(qs, F, p)
 
 
 def test_analyze_fixture_report():
@@ -554,6 +565,77 @@ def test_pencil_report_eliminates_each_node_once(monkeypatch):
     assert pivots == [(1, 105, 126), (21, 15, 21)] * 3
 
 
+def test_pencil_report_reads_no_minor_through_det_fp(monkeypatch):
+    # the chart minors and units of every node come from stacked
+    # eliminations; det_fp runs only the direct spot check, once per prime
+    shapes = []
+    orig = linalg.det_fp
+
+    def det_counted(mat, p):
+        shapes.append(np.shape(mat))
+        return orig(mat, p)
+
+    monkeypatch.setattr(linalg, "det_fp", det_counted)
+    pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
+    assert shapes == [(120, 120)] * 3
+    assert (6, 6) not in shapes
+
+
+@pytest.mark.parametrize("pair", ["worked", "generic"])
+def test_chart_walk_values_equal_the_per_node_minors(monkeypatch, pair):
+    # every chart of the first 25 is evaluated on the walk's own data; the
+    # unit and raw samples it interpolates must equal per-node det_fp calls
+    if pair == "worked":
+        F, G = _fixture(), _cube()
+    else:
+        F, G = random_cubic(seed=21, p=P), random_cubic(seed=22, p=P)
+    fits, kept, walked = [], {}, {}
+    orig_interpolate = linalg.interpolate
+    orig_collect = hilbert._collect_node_data
+    orig_chart = hilbert._default_chart
+
+    def recording(samples, bound, p):
+        fits.append((bound, [(int(u), int(v)) for u, v in samples]))
+        return orig_interpolate(samples, bound, p)
+
+    def keeping(*args):
+        first, data = orig_collect(*args)
+        kept["data"] = data
+        return first, data
+
+    def every_chart(fn, n, chart):
+        for cand in monomials(6, 3)[:25]:
+            del fits[:]
+            try:
+                fn(cand)
+            except ValueError:
+                pass
+            walked[cand] = list(fits)
+        return orig_chart(fn, n, chart)
+
+    monkeypatch.setattr(linalg, "interpolate", recording)
+    monkeypatch.setattr(hilbert, "_collect_node_data", keeping)
+    monkeypatch.setattr(hilbert, "_default_chart", every_chart)
+    pencil_profile(F, G, p=P)
+    data = kept["data"]
+    us = data.us.tolist()
+    assert len(walked) == 25
+    assert sum(len(chart_fits) == 2 for chart_fits in walked.values()) > 1
+    for cand, chart_fits in walked.items():
+        cols = hilbert._chart_columns(cand, 6)
+        dropped = sorted(cols)
+        units = [linalg.det_fp(w[:, cols], P) for w in data.witness]
+        raws = [linalg.shuffle_sign(dropped) * sign * d
+                * linalg.det_fp(kern[:, dropped], P) % P if d else 0
+                for d, sign, kern in zip(data.d.tolist(),
+                                         data.sign_free.tolist(),
+                                         data.kernels)]
+        assert chart_fits[0] == (6, list(zip(us, units)))
+        assert len(chart_fits) in (1, 2)
+        if len(chart_fits) == 2:
+            assert chart_fits[1][1] == list(zip(us, raws))
+
+
 @pytest.mark.parametrize("pair", ["worked", "generic"])
 def test_node_kernel_gives_every_chart_minor(pair):
     # each node in turn goes first, so its M(u) is built directly and its
@@ -567,7 +649,8 @@ def test_node_kernel_gives_every_chart_minor(pair):
     for k in range(len(nodes)):
         order = nodes[k:] + nodes[:k]
         first, data = hilbert._collect_node_data(F, G, sections, order, P)
-        u, d, sign_free, kern, _ = data[0]
+        u, d, sign_free, kern = (data.us[0], data.d[0], data.sign_free[0],
+                                 data.kernels[0])
         assert u == nodes[k] and d != 0 and kern.shape == (6, 126)
         assert not linalg.matmul_fp(first, kern.T, P).any()
         for chart in monomials(6, 3)[:25]:
@@ -640,3 +723,33 @@ def test_pencil_of_two_generic_cubics_misses_zero():
         pieces = linalg.squarefree_decomposition_fp(prof.determinant, prof.p)
         assert pieces.keys() == {9}
         assert len(pieces[9]) - 1 == 10  # a 9th power of a degree-10 equation
+
+
+@pytest.mark.parametrize("k,at_zero,perp4", [(6, 36, 36), (7, 27, 27),
+                                             (8, 18, 19), (9, 9, 15),
+                                             (10, 0, 6)])
+def test_pencil_meets_E_at_a_secant_point(k, at_zero, perp4):
+    # F2 a sum of k cubes: on E for k <= 9 (the paper's sigma_9 inside E),
+    # where a general line through it meets E with multiplicity 10 - k, in
+    # units of the 9-fold root; off E for k = 10
+    F2 = waring_sum(k, 0)[0]
+    assert perp_dimensions(F2, P)[4] == perp4
+    prof = pencil_profile(random_cubic(21), F2, p=P)
+    assert prof.total_degree == 90
+    assert prof.multiplicity_at_zero == at_zero
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pencil_through_a_gr26_section_meets_E_once(seed):
+    prof = pencil_profile(random_cubic(21), gr26_section_cubic(seed).cubic,
+                          p=P)
+    assert (prof.total_degree, prof.multiplicity_at_zero) == (90, 9)
+
+
+def test_pencil_is_gl6_equivariant():
+    F1, F2 = random_cubic(21), random_cubic(22)
+    a = pencil_profile(F1, F2, p=P)
+    b = pencil_profile(change_of_basis(F1, GL6), change_of_basis(F2, GL6),
+                       p=P)
+    assert b.determinant == a.determinant
+    assert b.total_degree == a.total_degree == 90

@@ -422,6 +422,31 @@ def test_interpolate_duplicate_nodes():
         linalg.interpolate([(1, 5), (1 + P, 7)], 1, P)
 
 
+nonzero_residues = st.integers(1, P - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(nonzero_residues, min_size=1, max_size=200))
+def test_batched_inverse_matches_fermat(values):
+    assert linalg._inverse_fp(values, P) == [pow(x, P - 2, P) for x in values]
+
+
+def test_batched_inverse_of_short_lists():
+    assert linalg._inverse_fp([], P) == []
+    assert linalg._inverse_fp([2], P) == [pow(2, P - 2, P)]
+    # entries are taken mod p: negative ones and ones past p
+    assert linalg._inverse_fp([-1, P + 2], P) == [P - 1, pow(2, P - 2, P)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(nonzero_residues, min_size=0, max_size=50), st.data())
+def test_batched_inverse_refuses_a_zero_residue(values, data):
+    zero = data.draw(st.sampled_from([0, P, -P, 3 * P]))
+    k = data.draw(st.integers(0, len(values)))
+    with pytest.raises(ValueError, match="a residue is 0"):
+        linalg._inverse_fp(values[:k] + [zero] + values[k:], P)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 24), st.data())
 def test_interpolate_recovers_any_degree_up_to_the_bound(bound, data):
