@@ -246,7 +246,7 @@ def _cmd_family(args) -> int:
         raise UsageError("--samples must name at least one parameter value")
     p = None
     if args.field == "fp":
-        p = hilbert.draw_primes(1, args.seed)[0]
+        p = hilbert.draw_primes(1, args.seed, template)[0]
     profile = family_length_profile(template, samples, p)
     for t in samples:
         print("t = %d: length %d" % (t, profile.lengths[t]))

@@ -114,7 +114,8 @@ def draw_primes(n_primes: int, seed: int, *forms: Poly) -> list[int]:
 def _witness_rows(fvec: np.ndarray, n: int, degree: int = 3) -> np.ndarray:
     """The vectors x_j (dp-times) f in degree-(degree + 1) coordinates, one
     row per j, from the coefficient vector ``fvec`` of a form f of the
-    given degree; for a cubic F these are the six witnesses.
+    given degree; for a cubic F these are the six witnesses.  A stack of
+    coefficient vectors gives a stack of row blocks.
 
     x_j (dp-times) x^m = (m_j + 1) x^(m + e_j), so row j places
     (m_j + 1) * fvec[m] at the index of m + e_j.  The rows keep the dtype
@@ -123,9 +124,10 @@ def _witness_rows(fvec: np.ndarray, n: int, degree: int = 3) -> np.ndarray:
     """
     mult = np.array(monomials(n, degree), dtype=fvec.dtype) + 1
     table = shift_table(n, 1, degree)
-    rows = np.zeros((n, dim_degree(n, degree + 1)), dtype=fvec.dtype)
+    rows = np.zeros(fvec.shape[:-1] + (n, dim_degree(n, degree + 1)),
+                    dtype=fvec.dtype)
     for j in range(n):
-        rows[j, table[j]] = fvec * mult[:, j]
+        rows[..., j, table[j]] = fvec * mult[:, j]
     return rows
 
 
@@ -166,16 +168,16 @@ class _Slices:
     """Annihilator slices of one cubic over one field, each computed once.
 
     Made by :func:`_checked_slices` only after the cubic was found
-    nondegenerate over that field; over Q, ``cert`` holds the slices at
-    the certificate prime and ``perps`` the rational perps computed so
-    far.
+    nondegenerate over that field.  ``perps`` holds the perps computed so
+    far over the same field, by degree; over Q, ``cert`` holds the slices
+    at the certificate prime, with the perps there in ``cert.perps``.
     """
 
     F: Poly
     p: int | None
     cert: "_Slices | None" = None
     cache: dict = field(default_factory=dict)
-    perps: dict = field(default_factory=dict)  # exact perps by degree, over Q
+    perps: dict = field(default_factory=dict)  # perps by degree
 
     def __call__(self, r: int) -> linalg.SubspaceBasis:
         if r not in self.cache:
@@ -184,6 +186,8 @@ class _Slices:
 
 
 def _checked_slices(F: Poly, p: int | None) -> _Slices:
+    if p is not None and p <= 7:
+        raise ValueError("the modular perps need a prime above 7")
     if not is_nondegenerate_cubic(F, p):
         raise ValueError("squared-ideal analysis needs a nondegenerate cubic")
     cert = None if p is not None else _Slices(F, _cert_prime(F))
@@ -195,39 +199,65 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     """Canonical (RREF) basis of the degree-d perp of the squared
     annihilator ideal.
 
-    Computed by intersecting kernels block by block (one block per basis
-    operator of the lower factor, one elimination each, the running basis
-    unreduced until the one final RREF), which keeps the working set small
-    even in degree 7 where the full product matrix would have ~10^4 rows.
-    ``slices`` carries the annihilator slices of F over the same field
-    across calls (and F's nondegeneracy check with them).
+    Mod p (p > 7) the perp comes from :func:`_perp_fp`.  ``slices``
+    carries the annihilator slices of F over the same field across calls
+    (and F's nondegeneracy check with them), and the perps computed so
+    far, one computation per degree.
 
-    Over the rationals the perp dimension is first bounded modulo a
-    certificate prime at which F stays nondegenerate (:func:`_cert_dim`,
-    which searches the perp among x_j (dp-times) the rational perp of
-    degree d - 1); reduction can only enlarge a perp, so that bound holds
-    over Q.  A zero bound is then the rational answer.  In degree 4 a
-    bound of 6 is met by the six vectors x_i (dp-times) F, checked exactly
-    to lie in the perp and to be independent, so their span is the perp.
-    Otherwise the stacked product blocks, built from the slices scaled to
-    integer rows, go to the p-adic solver :func:`linalg.kernel_q`.  The
-    rational perps are kept in ``slices``, one computation per degree.
+    Over the rationals the perp dimension is first bounded by the perp
+    at a certificate prime q at which F stays nondegenerate (this
+    function mod q); reduction can only enlarge a perp, so that bound
+    holds over Q.  A zero bound is then the rational answer.  In degree 4
+    a bound of 6 is met by the six vectors x_i (dp-times) F, checked
+    exactly to lie in the perp and to be independent, so their span is
+    the perp.  Otherwise the stacked product blocks, built from the
+    slices scaled to integer rows, go to the p-adic solver
+    :func:`linalg.kernel_q`.
+
+    Raises ValueError for a degree outside 4..7, p <= 7 or a degenerate
+    cubic.
     """
-    slices = slices if slices is not None else _checked_slices(F, p)
     if d < 4 or d > 7:
         raise ValueError("degree must be between 4 and 7")
-    if p is None:
-        if d not in slices.perps:
-            slices.perps[d] = _square_perp_basis_q(F, d, slices)
-        return slices.perps[d]
-    basis = None
-    for block in _product_blocks(d, slices):
-        basis = linalg._kernel(linalg.field_array(block, p), p) \
-            if basis is None else linalg.restrict_kernel(basis, block, p)
-        if basis.shape[0] == 0:
-            break
-    return linalg.SubspaceBasis("P", d, F.n, dim_degree(F.n, d), p,
-                                linalg.rref_fp(basis, p)[0].tolist())
+    slices = slices if slices is not None else _checked_slices(F, p)
+    if p is not None:
+        return _perp_fp(F, d, slices)
+    if d not in slices.perps:
+        slices.perps[d] = _square_perp_basis_q(F, d, slices)
+    return slices.perps[d]
+
+
+def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
+    """The degree-d perp mod p (p > 7), kept in ``slices.perps``.
+
+    A perp vector g has every a_j ∘ g in the perp of degree d - 1 (the
+    squared ideal is an ideal), and Euler's identity for divided powers
+    gives d g = sum_j x_j (dp-times) (a_j ∘ g), so the perp lies in the
+    span of the x_j (dp-times) v over the rows v of the degree-(d - 1)
+    perp; that needs d and the multiplicities m_j + 1 <= d of
+    :func:`_witness_rows` invertible mod p.  The search space is that
+    span in RREF, or all of P_4 in degree 4; an empty perp gives an empty
+    space one degree up.  The space is paired once with the product
+    blocks (:func:`_pairings`), the kernel of the pairings picks the perp
+    out of it, and the result is reduced to RREF once, where it is
+    published.
+    """
+    if d not in slices.perps:
+        n, p, dim_d = F.n, slices.p, dim_degree(F.n, d)
+        if d == 4:
+            space = np.eye(dim_d, dtype=np.int64)
+        else:
+            prev = _perp_fp(F, d - 1, slices)
+            rows = np.array(prev.rows, dtype=np.int64).reshape(prev.dim,
+                                                               prev.ncols)
+            red, rank, _ = linalg.rref_fp(
+                _witness_rows(rows, n, d - 1).reshape(-1, dim_d), p)
+            space = red[:rank]
+        kern = linalg._kernel(_pairings(space, d, slices), p)
+        slices.perps[d] = linalg.SubspaceBasis(
+            "P", d, n, dim_d, p,
+            linalg.rref_fp(linalg.matmul_fp(kern, space, p), p)[0].tolist())
+    return slices.perps[d]
 
 
 def _pairings(vecs: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
@@ -242,57 +272,16 @@ def _pairings(vecs: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
     for a, b in _degree_pairs(d):
         pair = linalg.matmul_fp(_slice_rows(slices(a), p),
                                 vecs[:, shift_table(n, a, b)], p)
-        B = slices(b)
-        if B.dim != dim_degree(n, b):
-            pair = linalg.matmul_fp(pair, _slice_rows(B, p).T, p)
-        out.append(pair.reshape(len(vecs), -1))
+        if b <= 3:  # above the cubic's degree, I_b is all of S_b
+            pair = linalg.matmul_fp(pair, _slice_rows(slices(b), p).T, p)
+        # an explicit width, so an empty search space reshapes too
+        out.append(pair.reshape(len(vecs), pair.shape[1] * pair.shape[2]))
     return np.hstack(out).T
-
-
-def _cert_dim(F: Poly, d: int, slices: _Slices) -> int:
-    """The degree-d perp dimension at the certificate prime q, an upper
-    bound for the rational one.
-
-    The perp is sought among the vectors x_j (dp-times) v for the basis
-    rows v of the rational perp of degree d - 1 (all of P_3 below degree
-    4): a perp vector g has every a_j ∘ g in that perp, and g = (1/d)
-    sum_j x_j (dp-times) (a_j ∘ g) (Euler), with coordinates integral at
-    q.  Those vectors are paired with the product blocks
-    (:func:`_pairings`), and the bound is their number less the rank of
-    the pairings.  That rank is taken after mixing the pairing rows into a
-    few more random combinations than there are vectors: a lower bound for
-    the rank (and almost surely equal to it), so the perp bound stays an
-    upper bound.
-    """
-    cert, prev = slices.cert, slices.perps.get(d - 1)
-    if d == 4:
-        start = np.eye(dim_degree(F.n, 4), dtype=np.int64)
-    elif prev is None:
-        return square_perp_basis(F, d, cert.p, cert).dim
-    elif prev.dim == 0:
-        return 0
-    else:
-        try:
-            rows = linalg.to_fp_matrix(prev.rows, cert.p)
-        except ValueError:  # q divides a denominator of the previous perp
-            return square_perp_basis(F, d, cert.p, cert).dim
-        shifts = np.vstack([_witness_rows(v, F.n, d - 1) for v in rows])
-        red, rank, _ = linalg.rref_fp(shifts, cert.p)
-        start = red[:rank]
-    pairs = _pairings(start, d, cert)
-    # weights below 2^10 times residues below 2^26, summed over fewer than
-    # 2^16 rows, stay below 2^52: the float64 product is exact
-    mix = np.random.default_rng(d).integers(1 << 10, size=(len(start) + 8,
-                                                           len(pairs)))
-    combined = (mix.astype(np.float64) @ pairs.astype(np.float64)) % cert.p
-    ((_, pivots, _),) = linalg.pivot_kernels_fp(
-        combined.astype(np.int64)[None], cert.p)
-    return len(start) - len(pivots)
 
 
 def _square_perp_basis_q(F, d, slices):
     n, dim_d = F.n, dim_degree(F.n, d)
-    mod_dim = _cert_dim(F, d, slices)
+    mod_dim = square_perp_basis(F, d, slices.cert.p, slices.cert).dim
     if mod_dim == 0:
         return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
     if d == 4 and mod_dim == n:
@@ -323,20 +312,11 @@ def perp_dimensions(F: Poly, p: int | None = None) -> dict[int, int]:
     """Dimensions of the degree-4..7 perps of the squared ideal, mod p or
     over Q (certified as described on :func:`square_perp_basis`).
 
-    Once a degree comes out zero every higher degree is zero too (the
-    squared ideal is an ideal, so multiplying a full graded piece by the
-    linear operators keeps it full); degrees past the first zero are not
-    recomputed.  The annihilator slices, and the check that F is a
-    nondegenerate cubic, are shared across degrees.
+    The annihilator slices, the perps of each degree, and the check that
+    F is a nondegenerate cubic are shared across degrees.
     """
     slices = _checked_slices(F, p)
-    out: dict[int, int] = {}
-    for d in (4, 5, 6, 7):
-        if out and out[d - 1] == 0:
-            out[d] = 0
-        else:
-            out[d] = square_perp_basis(F, d, p, slices).dim
-    return out
+    return {d: square_perp_basis(F, d, p, slices).dim for d in (4, 5, 6, 7)}
 
 
 def perp4_dim(F: Poly, p: int | None = None) -> int:

@@ -40,9 +40,8 @@ differences of an interpolation, the denominators of a Fraction matrix.
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
 their basis matrices.  Inside, a kernel mod p is the basis that is the
-identity on the free columns, from one elimination (:func:`_kernel`), and
-:func:`restrict_kernel` carries such bases unreduced; a basis is reduced
-to RREF once, where it is published (:func:`kernel_fp`,
+identity on the free columns, from one elimination (:func:`_kernel`); a
+basis is reduced to RREF once, where it is published (:func:`kernel_fp`,
 ``hilbert.square_perp_basis``).  Over Q the solver's right-greedy pivots
 make the kernel basis RREF as it comes.
 """
@@ -330,6 +329,11 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
     the rows of ``basis`` that the free-column kernel of
     constraint · basis^T picks out.  Lets large kernels be cut down block
     by block without ever forming the full stacked constraint matrix.
+
+    No function of the package calls it any more (the squared-ideal perps
+    pair one search space with all blocks at once); it stays because the
+    benchmark tracer binds it by name, and the tests use it to rebuild
+    the perps block by block as a reference.
     """
     prod = matmul_fp(to_fp_matrix(constraint, p), basis.T, p)
     return matmul_fp(_kernel(prod, p), basis, p)

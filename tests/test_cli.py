@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from apolar import cli
+from apolar import cli, hilbert
 from apolar.cli import main
 
 FIXTURE = "x0*x1*x3 - x0*x4^2 + x1*x2^2 + x2*x4*x5 + x3*x5^2"
@@ -266,6 +266,22 @@ def test_family_jump(capsys):
     doc = json.loads(out[out.index("{"):])
     assert doc["schema"] == "apolar-family/1"
     assert doc["lengths"] == {"0": 1, "1": 2, "2": 2}
+
+
+def test_family_fp_skips_a_prime_in_a_denominator(capsys):
+    # the seed-0 prime divides a coefficient denominator of the template,
+    # so the fp run draws the next prime and answers as the q run does
+    q = hilbert.draw_primes(1, 0)[0]
+    docs = {}
+    for field in ("fp", "q"):
+        code, out, _ = _run(capsys, "family", "t*x1 + 1/%d*x2^2" % q,
+                            "--samples", "0,1", "--field", field,
+                            "--json", "-")
+        assert code == 0
+        docs[field] = json.loads(out[out.index("{"):])
+    assert docs["fp"]["prime"] != q
+    assert docs["fp"]["lengths"] == docs["q"]["lengths"]
+    assert docs["fp"]["flag"] == docs["q"]["flag"] == "CONSTANT"
 
 
 def test_family_bad_samples(capsys):

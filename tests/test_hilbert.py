@@ -81,29 +81,22 @@ def test_square_perp_dims_fixture_rational():
 
 
 def test_rational_perp4_runs_one_certificate_prime_perp(monkeypatch):
-    # the certificate-prime bound is one pairing rank (_cert_dim), not a
-    # modular square_perp_basis
-    primes, bounds = [], []
-    orig, orig_bound = hilbert.square_perp_basis, hilbert._cert_dim
+    # the certificate-prime bound is the exact modular perp at that prime
+    primes = []
+    orig = hilbert.square_perp_basis
 
     def counted(F, d, p=None, slices=None):
         primes.append(p)
         return orig(F, d, p, slices)
 
-    def bound(F, d, slices):
-        bounds.append((d, slices.cert.p))
-        return orig_bound(F, d, slices)
-
     monkeypatch.setattr(hilbert, "square_perp_basis", counted)
-    monkeypatch.setattr(hilbert, "_cert_dim", bound)
     assert perp4_dim(sum_of_cubes()) == 36
-    assert primes == [None]
-    assert bounds == [(4, hilbert._CERT_PRIME)]
+    assert primes == [None, hilbert._CERT_PRIME]
 
 
 def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
     calls = {"square_perp_basis": [], "is_nondegenerate_cubic": [],
-             "ann_degree": [], "_cert_dim": []}
+             "ann_degree": [], "_pairings": []}
     for name, record in calls.items():
         orig = getattr(hilbert, name)
 
@@ -114,10 +107,12 @@ def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
         monkeypatch.setattr(hilbert, name, counted)
     assert perp_dimensions(random_cubic(0)) == {4: 6, 5: 0, 6: 0, 7: 0}
     q = hilbert._CERT_PRIME
-    # one certificate-prime bound per computed degree; the degree-5 one
-    # starts from the rational degree-4 perp, so no modular perp runs
-    assert [args[1] for args in calls["square_perp_basis"]] == [None] * 2
-    assert [args[0] for args in calls["_cert_dim"]] == [4, 5]
+    # one rational perp and one certificate-prime perp per degree; each
+    # certificate-prime perp pairs its search space once
+    assert [args[:2] for args in calls["square_perp_basis"]] == \
+        [(d, r) for d in (4, 5, 6, 7) for r in (None, q)]
+    assert [(d, s.p) for d, s in calls["_pairings"]] == \
+        [(d, q) for d in (4, 5, 6, 7)]
     assert calls["is_nondegenerate_cubic"] == [(None,), (q,)]
     assert calls["ann_degree"] == [(2, q), (2, None), (3, q)]
 
@@ -384,23 +379,33 @@ def test_fiber_equivalence_detects_difference():
     assert not fiber_equivalence(F3, Q, Q + other, P)
 
 
-def test_degree_4_perp_mod_p_runs_one_elimination_per_block(monkeypatch):
-    # the running basis stays unreduced: one elimination per product
-    # block, and one RREF of the published basis
-    F = _fixture()
-    slices = hilbert._checked_slices(F, P)
-    blocks = list(hilbert._product_blocks(4, slices))
-    calls = []
-    orig = linalg._rref
+def test_perp_mod_p_matches_the_block_chain():
+    # reference: the kernel of every product block, intersected block by
+    # block over all of P_d, against the search among x_j (dp-times) the
+    # perp of degree d - 1
+    for F in (_fixture(), random_cubic(0), waring_sum(7, 0)[0],
+              waring_sum(9, 0)[0], sum_of_cubes()):
+        slices = hilbert._checked_slices(F, P)
+        for d in (4, 5, 6, 7):
+            chain = None
+            for block in hilbert._product_blocks(d, slices):
+                chain = linalg._kernel(linalg.field_array(block, P), P) \
+                    if chain is None else \
+                    linalg.restrict_kernel(chain, block, P)
+                if chain.shape[0] == 0:
+                    break
+            assert square_perp_basis(F, d, P, slices).rows == \
+                linalg.rref_fp(chain, P)[0].tolist()
 
-    def counted(m, p):
-        calls.append(m.shape)
-        return orig(m, p)
 
-    monkeypatch.setattr(linalg, "_rref", counted)
-    basis = square_perp_basis(F, 4, P, slices)
-    assert len(calls) == len(blocks) + 1 == 16
-    assert basis.rows == linalg.kernel_fp(np.vstack(blocks), P).tolist()
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_modular_perps_reject_primes_up_to_7(p):
+    # the search among x_j (dp-times) perp_(d-1) needs d and the
+    # multiplicities up to 7 invertible
+    with pytest.raises(ValueError, match="prime above 7"):
+        perp_dimensions(sum_of_cubes(), p)
+    with pytest.raises(ValueError, match="prime above 7"):
+        square_perp_basis(_fixture(), 4, p)
 
 
 # ---------------------------------------------------------------------------
