@@ -30,10 +30,10 @@ from .poly import (
     Scalar,
     coefficient_vector,
     dim_degree,
-    graded_parts,
     monomial_index,
     monomials,
     poly_from_vector,
+    specialize_parameter,
     substitute_shift,
 )
 
@@ -217,12 +217,6 @@ def apolar_length(f: Poly, p: int | None = None) -> int:
     return linalg.rank(mat[np.flatnonzero(mat.any(axis=1))], p)
 
 
-def scheme_length(f: Poly, p: int | None = None) -> int:
-    """Length of the affine apolar scheme: like apolar_length, except the
-    empty polynomial still carries the structure constant (length 1)."""
-    return max(apolar_length(f, p), 1)
-
-
 def dual_socle_generator(quadrics: list[Poly], n_vars: int = 6,
                          p: int | None = None) -> Poly:
     """The cubic annihilated by all the given quadric operators, when it is
@@ -312,24 +306,10 @@ def family_length_profile(template: Poly, samples, p: int | None = None) -> Fami
     length 1: the underlying scheme is the single (embedded) point, not the
     empty scheme, which is exactly why a jump flags non-flatness.
     """
-    from .poly import specialize_parameter
-
     lengths: dict = {}
     for t in samples:
         ft = specialize_parameter(template, t)
-        lengths[t] = scheme_length(ft, p)
+        lengths[t] = max(apolar_length(ft, p), 1)
     distinct = set(lengths.values())
     return FamilyProfile(lengths, "CONSTANT" if len(distinct) <= 1 else "JUMP")
 
-
-def leading_form_check(f: Poly, p: int | None = None) -> bool:
-    """Property hook: length 14 must co-occur with a nondegenerate top form.
-
-    Returns (apolar_length(f) == 14) == is_nondegenerate_cubic(top form);
-    the contract is that this is always true for degree-3 input.
-    """
-    parts = graded_parts(f)
-    top = parts[-1] if parts else Poly.zero("P", f.n)
-    top_ok = (not top.is_zero()) and top.degree() == 3 and \
-        is_nondegenerate_cubic(top, p)
-    return (apolar_length(f, p) == 14) == top_ok

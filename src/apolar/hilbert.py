@@ -138,14 +138,13 @@ def _degree_pairs(d: int) -> list[tuple[int, int]]:
 def _product_blocks(d: int, slices):
     """The product blocks spanning (I^2)_d, one per basis operator of the
     lower factor, in the field of ``slices``.  Over Q the slices are
-    primitive integer rows (:func:`_slice_rows`), and the products stay in
-    int64 when they fit (a sum of at most 56 products), else Python ints."""
+    primitive integer rows, and the products stay in int64 when they fit
+    (a sum of at most 56 products), else Python ints."""
     n = slices.F.n
     for a, b in _degree_pairs(d):
-        B = slices(b)
-        lower = _slice_rows(slices(a), slices.p)
-        upper = None if B.dim == dim_degree(n, b) else \
-            _slice_rows(B, slices.p)
+        lower = slices(a)
+        # above the cubic's degree, I_b is all of S_b
+        upper = slices(b) if b <= 3 else None
         if slices.p is None and linalg._bits(lower) + (
                 1 if upper is None else linalg._bits(upper)) > 56:
             lower = lower.astype(object)
@@ -154,23 +153,18 @@ def _product_blocks(d: int, slices):
             yield _products(pvec[None], upper, a, b, n)[0]
 
 
-def _slice_rows(basis: linalg.SubspaceBasis, p: int | None) -> np.ndarray:
-    """The rows of a slice basis mod p, or over Q scaled to primitive
-    integer rows (:func:`linalg.integer_rows`): the same span, so the
-    products of the blocks and their kernel stay in integers."""
-    if p is None:
-        return linalg.integer_rows(basis.rows)
-    return linalg.field_array(basis.rows, p)
-
-
 @dataclass
 class _Slices:
     """Annihilator slices of one cubic over one field, each computed once.
 
     Made by :func:`_checked_slices` only after the cubic was found
-    nondegenerate over that field.  ``perps`` holds the perps computed so
-    far over the same field, by degree; over Q, ``cert`` holds the slices
-    at the certificate prime, with the perps there in ``cert.perps``.
+    nondegenerate over that field.  Called with r <= 3 it gives the rows
+    of the degree-r slice, converted once: int64 residues mod p, or over
+    Q primitive integer rows (:func:`linalg.integer_rows`), the same span,
+    so the products and their kernels stay in integers.  ``perps`` holds
+    the perps computed so far over the same field, by degree; over Q,
+    ``cert`` holds the slices at the certificate prime, with the perps
+    there in ``cert.perps``.
     """
 
     F: Poly
@@ -179,9 +173,11 @@ class _Slices:
     cache: dict = field(default_factory=dict)
     perps: dict = field(default_factory=dict)  # perps by degree
 
-    def __call__(self, r: int) -> linalg.SubspaceBasis:
+    def __call__(self, r: int) -> np.ndarray:
         if r not in self.cache:
-            self.cache[r] = ann_degree(self.F, r, self.p)
+            rows = ann_degree(self.F, r, self.p).rows
+            self.cache[r] = linalg.integer_rows(rows) if self.p is None \
+                else linalg.field_array(rows, self.p)
         return self.cache[r]
 
 
@@ -209,8 +205,9 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     function mod q); reduction can only enlarge a perp, so that bound
     holds over Q.  A zero bound is then the rational answer.  In degree 4
     a bound of 6 is met by the six vectors x_i (dp-times) F, checked
-    exactly to lie in the perp and to be independent, so their span is
-    the perp.  Otherwise the stacked product blocks, built from the
+    exactly to lie in the perp (their integer :func:`_pairings` with the
+    products of the I_2 rows vanish) and to be independent, so their span
+    is the perp.  Otherwise the stacked product blocks, built from the
     slices scaled to integer rows, go to the p-adic solver
     :func:`linalg.kernel_q`.
 
@@ -260,20 +257,32 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
     return slices.perps[d]
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
+    """a @ b mod p (:func:`linalg.matmul_fp`), or exactly for integer
+    arrays over Q: in int64 while the entries leave room for the sum along
+    the shared dimension, else in Python ints."""
+    if p is not None:
+        return linalg.matmul_fp(a, b, p)
+    if a.dtype == object or b.dtype == object or linalg._bits(a) \
+            + linalg._bits(b) + a.shape[-1].bit_length() > 62:
+        return a.astype(object) @ b.astype(object)
+    return a @ b
+
+
 def _pairings(vecs: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
-    """The pairing <x y, v> mod p of every product x y of the product
-    blocks of degree d (see :func:`_product_blocks`) with every row v of
-    ``vecs``: one row per product, one column per v.
+    """The pairing <x y, v> of every product x y of the product blocks of
+    degree d (see :func:`_product_blocks`) with every row v of ``vecs``,
+    mod p, or exactly over Q for integer ``vecs``: one row per product,
+    one column per v.
 
     <x y, v> = x . C_v . y, with C_v the catalecticant gather of v, so no
     product block is formed."""
     n, p = slices.F.n, slices.p
     out = []
     for a, b in _degree_pairs(d):
-        pair = linalg.matmul_fp(_slice_rows(slices(a), p),
-                                vecs[:, shift_table(n, a, b)], p)
+        pair = _matmul(slices(a), vecs[:, shift_table(n, a, b)], p)
         if b <= 3:  # above the cubic's degree, I_b is all of S_b
-            pair = linalg.matmul_fp(pair, _slice_rows(slices(b), p).T, p)
+            pair = _matmul(pair, slices(b).T, p)
         # an explicit width, so an empty search space reshapes too
         out.append(pair.reshape(len(vecs), pair.shape[1] * pair.shape[2]))
     return np.hstack(out).T
@@ -285,27 +294,19 @@ def _square_perp_basis_q(F, d, slices):
     if mod_dim == 0:
         return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
     if d == 4 and mod_dim == n:
-        # the I_2 rows and F scaled to integers: the same spans, so the
-        # products and the witness check stay in integers
-        quadrics = [poly_from_vector(row, "S", n, 2)
-                    for row in _slice_rows(slices(2), None).tolist()]
-        prods = ev_product_matrix(quadrics, F)
-        witness = _witness_rows(linalg.integer_rows(
-            [coefficient_vector(F, 3)]).astype(object)[0], n)
-        if not (prods @ witness.T).any():
+        # F scaled to integers spans the same witnesses, so their check
+        # against the integer I_2 rows stays in integers; the witness
+        # multiplicities go up to 4
+        fvec = linalg.integer_rows([coefficient_vector(F, 3)])[0]
+        if linalg._bits(fvec) >= 60:
+            fvec = fvec.astype(object)
+        witness = _witness_rows(fvec, n)
+        if not _pairings(witness, 4, slices).any():
             basis = linalg.span(witness, "P", d, n, dim_d)
             if basis.dim == n:
                 return basis
     kern = linalg.kernel_q(np.vstack(list(_product_blocks(d, slices))))
     return linalg.SubspaceBasis("P", d, n, dim_d, None, kern)
-
-
-def square_ideal_degree(F: Poly, d: int, p: int | None = None) -> linalg.SubspaceBasis:
-    """The degree-d piece of the squared annihilator ideal, as a subspace
-    of S_d (perp of the perp, so the returned basis is canonical)."""
-    pp = square_perp_basis(F, d, p)
-    ideal = linalg.perp(pp)
-    return linalg.SubspaceBasis("S", d, F.n, pp.ncols, p, ideal.rows)
 
 
 def perp_dimensions(F: Poly, p: int | None = None) -> dict[int, int]:
@@ -323,16 +324,6 @@ def perp4_dim(F: Poly, p: int | None = None) -> int:
     """Dimension of the degree-4 perp of the squared ideal (6 generically,
     larger exactly on the divisor E)."""
     return square_perp_basis(F, 4, p).dim
-
-
-def tangent_dimension(F: Poly, p: int | None = None) -> int:
-    """Tangent-space dimension of the Hilbert scheme of 14 points at the
-    apolar scheme of F: 70 plus the degree-4..7 perp dimensions.
-
-    Raises ValueError for degenerate cubics (cones), whose apolar scheme
-    does not have length 14.
-    """
-    return 70 + sum(perp_dimensions(F, p).values())
 
 
 def member_E(F: Poly, p: int | None = None) -> bool:

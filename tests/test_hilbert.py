@@ -30,9 +30,7 @@ from apolar.hilbert import (
     pencil_report,
     perp4_dim,
     perp_dimensions,
-    square_ideal_degree,
     square_perp_basis,
-    tangent_dimension,
 )
 from apolar.poly import (
     Poly,
@@ -108,11 +106,12 @@ def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
     assert perp_dimensions(random_cubic(0)) == {4: 6, 5: 0, 6: 0, 7: 0}
     q = hilbert._CERT_PRIME
     # one rational perp and one certificate-prime perp per degree; each
-    # certificate-prime perp pairs its search space once
+    # certificate-prime perp pairs its search space once, and the rational
+    # degree-4 certificate pairs the six witnesses once
     assert [args[:2] for args in calls["square_perp_basis"]] == \
         [(d, r) for d in (4, 5, 6, 7) for r in (None, q)]
     assert [(d, s.p) for d, s in calls["_pairings"]] == \
-        [(d, q) for d in (4, 5, 6, 7)]
+        [(4, q), (4, None), (5, q), (6, q), (7, q)]
     assert calls["is_nondegenerate_cubic"] == [(None,), (q,)]
     assert calls["ann_degree"] == [(2, q), (2, None), (3, q)]
 
@@ -146,16 +145,6 @@ def test_rational_perp_dims_match_a_prime(seed, prime_seed):
     for doc in (exact, modular):
         del doc["field"], doc["primes_used"]
     assert exact == modular
-
-
-def test_square_ideal_degree_complements_perp():
-    F = _fixture()
-    sq = square_ideal_degree(F, 4, P)
-    assert sq.dim == 120
-    pp = square_perp_basis(F, 4, P)
-    # same rref rows; the perp presents its vectors on the P side
-    assert [list(map(int, r)) for r in linalg.perp(sq).rows] == \
-        [list(map(int, r)) for r in pp.rows]
 
 
 def test_perp4_contains_witness_vectors():
@@ -209,21 +198,37 @@ def test_rational_analysis_runs_each_rank_once(monkeypatch):
 
 
 def test_rational_certificate_products_are_integers(monkeypatch):
-    # the degree-4 certificate scales the I_2 rows to integers, so its
-    # products and its witness check never touch a Fraction
+    # the degree-4 certificate pairs F scaled to integers with the I_2 rows
+    # scaled to integers, so its check never touches a Fraction
     seen = []
-    orig = hilbert.ev_product_matrix
+    orig = hilbert._pairings
 
-    def recording(quadrics, F, p=None):
-        out = orig(quadrics, F, p)
-        seen.append((quadrics, out))
+    def recording(vecs, d, slices):
+        out = orig(vecs, d, slices)
+        if slices.p is None:
+            seen.append((vecs, d, slices(2), out))
         return out
 
-    monkeypatch.setattr(hilbert, "ev_product_matrix", recording)
+    monkeypatch.setattr(hilbert, "_pairings", recording)
     assert analyze(random_cubic(3), field_kind="q").tangent_dim == 76
-    ((quadrics, prods),) = seen
-    assert {type(c) for q in quadrics for c in q.terms.values()} == {int}
-    assert {type(c) for c in prods.ravel()} == {int}
+    ((vecs, d, quadrics, pairs),) = seen
+    assert d == 4 and vecs.shape == (6, 126) and quadrics.shape == (15, 21)
+    # int64 where the entries fit, Python ints where they do not (the I_2
+    # rows of this cubic reach 81 bits)
+    for arr in (vecs, quadrics, pairs):
+        assert arr.dtype == np.int64 or {type(c) for c in arr.ravel()} == {int}
+    assert not pairs.any()
+
+
+def test_rational_pairings_leave_int64_when_they_must():
+    # a 60-bit coefficient moves the witnesses, and with them the
+    # pairings, to Python ints; the certificate still agrees with mod p
+    F = _fixture() + Poly.monomial("P", 6, (3, 0, 0, 0, 0, 0), (1 << 60) - 1)
+    assert perp_dimensions(F) == perp_dimensions(F, P)
+    a = np.array([[1 << 40, 1]], dtype=np.int64)
+    exact = hilbert._matmul(a, a.T, None)
+    assert exact.dtype == object and exact[0, 0] == (1 << 80) + 1
+    assert hilbert._matmul(a % P, a.T % P, P)[0, 0] == ((1 << 80) + 1) % P
 
 
 # an integer change of variables with entries in [-2, 2], det -66
@@ -245,14 +250,14 @@ def test_rational_analysis_is_gl6_equivariant(make, perp4):
 
 
 def test_tangent_dimension_values():
-    assert tangent_dimension(_fixture(), P) == 76
-    assert tangent_dimension(sum_of_cubes(), P) == 112
-    assert tangent_dimension(_fixture()) == 76
+    assert analyze(_fixture(), primes=[P]).tangent_dim == 76
+    assert analyze(sum_of_cubes(), primes=[P]).tangent_dim == 112
+    assert analyze(_fixture(), field_kind="q").tangent_dim == 76
 
 
 def test_tangent_dimension_rejects_cones():
     with pytest.raises(ValueError):
-        tangent_dimension(_cube(), P)
+        perp_dimensions(_cube(), P)
 
 
 def test_member_E():

@@ -1,17 +1,21 @@
-"""The README's command-line examples, run through ``cli.main``.
+"""The README's examples: its command lines and its Python API block.
 
 Each ``$ apolar analyze|pencil|family ...`` line in a fenced block of the
-README is followed by the output it prints; the test runs the command and
-compares stdout with those lines, so the documented sessions stay true.
+README is followed by the output it prints; the test runs the command
+through ``cli.main`` and compares stdout with those lines, so the
+documented sessions stay true.  The ``python`` block runs as written, and
+the names it imports from ``apolar`` are the package's ``__all__``.
 """
 
 from __future__ import annotations
 
+import ast
 import shlex
 from pathlib import Path
 
 import pytest
 
+import apolar
 from apolar import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,3 +50,20 @@ def test_readme_has_every_checked_example():
 def test_readme_example(argv, expected, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def _python_block() -> str:
+    text = README.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    return text[start:text.index("```", start)]
+
+
+def test_readme_python_block_runs():
+    exec(compile(_python_block(), str(README), "exec"), {})
+
+
+def test_package_exports_the_readme_names():
+    imported = [alias.name for node in ast.walk(ast.parse(_python_block()))
+                if isinstance(node, ast.ImportFrom) and node.module == "apolar"
+                for alias in node.names]
+    assert sorted(apolar.__all__) == sorted(imported)
