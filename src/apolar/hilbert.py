@@ -581,43 +581,36 @@ def _chart_columns(chart: tuple, n: int) -> list[int]:
     return cols
 
 
-_NODE_BATCH = 32  # nodes eliminated as one stack; bounds its working memory
-
-
-class _NodeData(NamedTuple):
-    """The per-node data of one prime, stacked along the nodes (see
-    :func:`_collect_node_data`)."""
+class _PencilData(NamedTuple):
+    """One prime's pencil data (see :func:`_collect_node_data`)."""
 
     us: np.ndarray         # the nodes u
-    d: np.ndarray          # det M(u)[:, F^c], 0 where M(u) drops rank
-    sign_free: np.ndarray  # eps(F)
-    kernels: np.ndarray    # the 6 x 126 kernels K (zero where d = 0)
-    witness: np.ndarray    # the 6 x 126 witness rows W(u)
+    witness: np.ndarray    # the 6 x 126 witness rows W(u), one per node
+    scale: int             # eps(rows of C) * eps(Pc) * det C[:, Pc], or 0
+    kernel: np.ndarray     # K_C, the kernel of C that is the identity on Fc
+    schur: tuple           # N0, N1, N2: the moving rows times K_C^T
+    quadratic: np.ndarray  # the rows where N2 is nonzero
 
 
 def _collect_node_data(F1, F2, sections, nodes, p):
-    """Per node u: the kernel data of the 120 x 126 product matrix M(u) of
-    the section values, and the 6 x 126 witness rows W(u) of the fiber
-    cubic u*F1 + F2, all mod p.
+    """Everything one prime's chart walk reads, built once: the 120 x 126
+    product matrix M(u_0) of the section values at the first node (the
+    only M(u) formed; the spot check reads it), and the
+    :class:`_PencilData` of the pencil.
 
-    Returns M(u_0), built directly from the section values at the first
-    node (the only M(u) formed; the spot check reads it), and the
-    :class:`_NodeData` of all nodes, one array per field: the kernel K of
-    M(u), which is the identity on the columns F, the sign
-    ``linalg.shuffle_sign`` of F, and d = det M[:, F^c] (0 where M drops
-    rank, and then every minor is 0).  By the complementary-minor identity
-    the chart minor dropping the columns S is eps(S) * eps(F) * d *
-    det K[:, S]; the chart unit keeps exactly those columns of W(u).
-
-    M(u) = M0 + u*M1 + u^2*M2, and the rows where M1 and M2 vanish (the
-    products of two constant sections) do not move with u.  Those rows C
-    are eliminated once, giving their pivot columns Pc and their kernel KC,
-    the identity on the other columns Fc.  For the moving rows V(u),
-    ker M(u) = ker(V(u) KC^T) KC, and N(u) = V(u) KC^T = N0 + u*N1 + u^2*N2
-    comes from three fixed products.  The N(u) of a batch of nodes are
-    eliminated as one stack, giving each node's d' = det N[:, P'], pivots
-    P' and kernel K'.  With Q = Pc and Fc[P'], the Schur complement gives
-    det M[:, Q] = eps(rows of C) * det C[:, Pc] * eps(Pc within Q) * d'.
+    The data holds the 6 x 126 witness rows W(u) of the fiber cubic
+    u*F1 + F2 at every node, which the chart units read, and one Schur
+    complement of M(u) = M0 + u*M1 + u^2*M2.  The rows C where M1 and M2
+    vanish (the products of two constant sections) do not move with u;
+    they are eliminated once, giving their pivot columns Pc, d =
+    det C[:, Pc] and their kernel K_C, the identity on the other columns
+    Fc.  For the moving rows V(u), N(u) = V(u) K_C^T = N0 + u*N1 + u^2*N2
+    comes from three fixed products, and only the rows of N2 that belong
+    to two moving sections are nonzero.  ``scale`` folds in the signs
+    that move the rows of C to the top and the columns Pc to the front,
+    so that det [C; E; V(u)] = scale * det [K_C[:, S]^T; N(u)] for the
+    unit rows E of any six columns S (:func:`_chart_minor`); it is 0 when
+    C drops rank, and then every chart minor is 0.
     """
     n = F1.n
     f1v, f2v = linalg.to_fp_matrix(
@@ -625,7 +618,6 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     w1, w2 = _witness_rows(f1v, n), _witness_rows(f2v, n)
     a_mat = linalg.to_fp_matrix([s[0] for s in sections], p)
     b_mat = linalg.to_fp_matrix([s[1] for s in sections], p)
-    dim4 = dim_degree(n, 4)
     pairs = np.triu_indices(15)
 
     def products(x, y):
@@ -639,28 +631,73 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     fixed = ~(m1.any(axis=1) | m2.any(axis=1))
     ((d_fixed, piv_fixed, k_fixed),) = linalg.pivot_kernels_fp(
         m0[fixed][None], p)
-    piv_fixed = np.array(piv_fixed, dtype=np.int64)
-    free_fixed = np.setdiff1d(np.arange(dim4), piv_fixed)
-    n0, n1, n2 = (linalg.matmul_fp(mk[~fixed], k_fixed.T, p)
+    schur = tuple(linalg.matmul_fp(mk[~fixed], k_fixed.T, p)
                   for mk in (m0, m1, m2))
-    fixed_factor = linalg.shuffle_sign(np.flatnonzero(fixed)) * d_fixed
+    scale = (linalg.shuffle_sign(np.flatnonzero(fixed))
+             * linalg.shuffle_sign(piv_fixed) * d_fixed) % p
     us = np.array(nodes, dtype=np.int64)
-    out = _NodeData(us, np.zeros_like(us), np.zeros_like(us),
-                    np.zeros((len(us), dim4 - len(first), dim4), np.int64),
-                    (w1 * us[:, None, None] + w2) % p)
-    for start in range(0, len(us), _NODE_BATCH):
-        batch = us[start:start + _NODE_BATCH, None, None]
-        stack = (n0 + batch * n1 + batch * batch % p * n2) % p
-        for i, (d, pivots, kernel) in enumerate(
-                linalg.pivot_kernels_fp(stack, p), start):
-            q = np.sort(np.concatenate([piv_fixed, free_fixed[pivots]]))
-            out.d[i] = (fixed_factor * d * linalg.shuffle_sign(
-                np.searchsorted(q, piv_fixed))) % p
-            if out.d[i]:
-                out.sign_free[i] = linalg.shuffle_sign(
-                    np.delete(free_fixed, pivots))
-                out.kernels[i] = linalg.matmul_fp(kernel, k_fixed, p)
-    return first, out
+    return first, _PencilData(us, (w1 * us[:, None, None] + w2) % p, scale,
+                              k_fixed, schur,
+                              np.flatnonzero(schur[2].any(axis=1)))
+
+
+def _chart_minor(data: _PencilData, dropped, p: int) -> list[int]:
+    """det M(u)[:, S^c] for the sorted six columns S = ``dropped``, as
+    ascending coefficients mod p, trimmed ([] when it vanishes).
+
+    Putting the unit rows E of S under M(u) gives a 126 x 126 matrix
+    whose determinant is eps(S) times the minor (Laplace along E).  The
+    rows C of :func:`_collect_node_data` are eliminated once for every
+    chart, which leaves det [Y; N(u)] with Y = K_C[:, S]^T constant; its
+    six rows are eliminated here, giving their pivot columns J, d_Y and
+    the kernel B, the identity on the other columns.  Then
+
+        det M(u)[:, S^c] = eps(S) * scale * eps(J) * d_Y * det N'(u),
+
+    N'(u) = N(u) B^T, an r x r matrix (r moving rows) whose only
+    quadratic rows are the q rows of N2.  With E' the unit columns of
+    those rows, det N'(u) = det L(u) for the (r + q) x (r + q) pencil
+    L(u) = L0 + u*L1 = [[N0' + u*N1', u*E'], [-u*N2'[quad], I]].  At a
+    shift node u* with L(u*) invertible, X = -L(u*)^-1 L1 gives
+    det L(u* + t) = det L(u*) * det(I - t X), the reversed
+    characteristic polynomial of X (:func:`linalg.charpoly_fp`), which a
+    Taylor shift by -u* turns into a polynomial in u.  The shift node is
+    the first node after u_0 (so the spot check at u_0 reads the shifted
+    polynomial) where L(u) is invertible; after r + q + 1 singular nodes
+    the polynomial, of degree at most r + q, is 0.
+    """
+    if not data.scale:
+        return []
+    ((d_y, pivots, basis),) = linalg.pivot_kernels_fp(
+        data.kernel[:, dropped].T[None], p)
+    if not d_y:
+        return []
+    rest = np.setdiff1d(np.arange(data.kernel.shape[0]), pivots)
+    n0, n1, n2 = ((nk[:, rest] + linalg.matmul_fp(
+        nk[:, pivots], basis[:, pivots].T, p)) % p for nk in data.schur)
+    r, quad = len(n0), data.quadratic
+    size = r + len(quad)
+    const, lin = np.zeros((2, size, size), dtype=np.int64)
+    const[:r, :r], lin[:r, :r], lin[r:, :r] = n0, n1, -n2[quad] % p
+    const[range(r, size), range(r, size)] = 1
+    lin[quad, range(r, size)] = 1
+    for shift in data.us[1:size + 2].tolist():
+        ((d_lin, lin_pivots, solution),) = linalg.pivot_kernels_fp(
+            np.hstack([(const + shift * lin) % p, lin])[None], p)
+        if d_lin and lin_pivots[-1] == size - 1:
+            break
+    else:
+        return []
+    # solution rows are [X[:, k]; e_k]: (L(u*) | L1) times them is 0
+    char = linalg.charpoly_fp(solution[:, :size].T, p)
+    out = np.zeros(size + 1, dtype=np.int64)
+    for c in char:
+        # out <- out * (u - u*) + c: Horner on the reversed polynomial
+        out[1:] = (out[:-1] - shift * out[1:]) % p
+        out[0] = (c - shift * out[0]) % p
+    factor = (linalg.shuffle_sign(dropped) * data.scale
+              * linalg.shuffle_sign(pivots) * d_y % p * d_lin % p)
+    return linalg._trim((out * factor % p).tolist())
 
 
 def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
@@ -736,28 +773,16 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
             seen.add(u)
             nodes.append(u)
     first_matrix, data = _collect_node_data(F1, F2, sections, nodes, p)
-    live = np.flatnonzero(data.d)
-
-    def raw_minors(dropped, at):
-        # det M(u)[:, dropped^c] at the nodes ``at`` (each with d != 0) by
-        # the complementary-minor identity: one stacked elimination of the
-        # 6 x 6 blocks K[:, dropped]
-        minors = [m for m, _, _ in linalg.pivot_kernels_fp(
-            data.kernels[:, :, dropped][at], p)]
-        return (linalg.shuffle_sign(dropped) * data.sign_free[at]
-                * data.d[at] % p * minors % p)
+    raws = {}
 
     def chart_determinant(chart_expo: tuple):
         chart_cols = _chart_columns(chart_expo, n)
-        dropped = sorted(chart_cols)
         units = [m for m, _, _ in linalg.pivot_kernels_fp(
             data.witness[:, :, chart_cols], p)]
         dunit = linalg.interpolate(list(zip(nodes, units)), 6, p)
         if not dunit:
             raise ValueError("chart unit vanishes identically (bad chart)")
-        raw = np.zeros_like(data.d)
-        raw[live] = raw_minors(dropped, live)
-        draw = linalg.interpolate(list(zip(nodes, raw.tolist())), bound, p)
+        draw = raws[chart_expo] = _chart_minor(data, sorted(chart_cols), p)
         if not draw:
             raise ValueError("chart minor identically zero (degenerate chart)")
         quo, rem = linalg.poly_divmod_fp(draw, dunit, p)
@@ -771,11 +796,10 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
         chart_determinant, n, chart)
     dropped = sorted(_chart_columns(chart, n))
     direct = linalg.det_fp(np.delete(first_matrix, dropped, axis=1), p)
-    identity = raw_minors(dropped, [0])[0] if data.d[0] else 0
-    if direct != identity:
+    if direct != linalg.poly_eval(raws[chart], nodes[0], p):
         raise ValueError(
-            "chart %s minor at u = %d disagrees with its kernel identity"
-            % (chart, nodes[0]))
+            "chart %s minor at u = %d disagrees with its characteristic "
+            "polynomial" % (chart, nodes[0]))
     roots = linalg.roots_fp(monic, p, seeded_rng(seed, "roots:%d" % p))
     return PencilProfile(chart, p, monic, raw_degree, unit_degree, roots,
                          len(monic) - 1)

@@ -322,6 +322,53 @@ def det_fp(mat, p: int) -> int:
     return pivot_kernels_fp(mat[None], p)[0][0]
 
 
+def charpoly_fp(mat, p: int) -> list:
+    """Characteristic polynomial det(x I - G) mod p of one square matrix:
+    n + 1 ascending coefficients, the last one 1.
+
+    G is brought to upper Hessenberg form H by similarity mod p: for each
+    column, a row swap and its column swap put a nonzero entry on the
+    subdiagonal, and the entries below it are cleared by row operations
+    with their inverse column operations.  The Hessenberg recurrence
+    (Cohen 1993, Alg. 2.2.9) then gives the polynomials of the leading
+    blocks, p_0 = 1 and
+    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1),
+    one numpy pass per column in each half.  Every sum holds at most n
+    products below p^2, so n stays below 2^11 for p < 2^26.
+    """
+    h = field_array(mat, p)
+    n = h.shape[0]
+    if h.shape != (n, n):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    if n * (p - 1) ** 2 + p >= 2 ** 63:
+        raise ValueError("matrix too large for int64 characteristic polynomial")
+    for m in range(1, n - 1):
+        nz = np.flatnonzero(h[m:, m - 1])
+        if not nz.size:
+            continue
+        i = m + int(nz[0])
+        if i != m:
+            h[[m, i]] = h[[i, m]]
+            h[:, [m, i]] = h[:, [i, m]]
+        f = h[m + 1:, m - 1] * pow(int(h[m, m - 1]), p - 2, p) % p
+        # left of column m - 1 these rows are already 0
+        h[m + 1:, m - 1:] = (h[m + 1:, m - 1:]
+                             - np.outer(f, h[m, m - 1:])) % p
+        h[:, m] = (h[:, m] + h[:, m + 1:] @ f) % p
+    # row k of polys: p_k; chain[i - 1] = h_(i+1,i) ... h_(m,m-1) (1-based)
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    chain = np.zeros(0, dtype=np.int64)
+    for m in range(1, n + 1):
+        if m > 1:
+            chain = np.append(chain, 1) * h[m - 1, m - 2] % p
+        acc = -h[m - 1, m - 1] * polys[m - 1, :m + 1]
+        acc[:m - 1] -= (h[:m - 1, m - 1] * chain % p) @ polys[:m - 1, :m - 1]
+        acc[1:] += polys[m - 1, :m]
+        polys[m, :m + 1] = acc % p
+    return polys[n].tolist()
+
+
 def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.ndarray:
     """Intersect a solution space (rows of ``basis``) with ker(constraint).
 

@@ -549,9 +549,11 @@ def test_chart_walk_resumes_after_the_carried_chart(monkeypatch):
     assert evaluations == [19, 11, 11]
 
 
-def test_pencil_report_eliminates_each_node_once(monkeypatch):
-    # every chart reads its minors from the node kernels; the only
-    # 120 x 120 determinants left are the spot checks, one per prime
+def test_pencil_report_eliminates_the_fixed_rows_once(monkeypatch):
+    # per prime the 105 rows of two constant sections are eliminated once;
+    # each chart then eliminates only the six rows K_C[:, S]^T and its
+    # 16 x 32 linearization, and the only 120 x 120 determinants left are
+    # the spot checks, one per prime
     shapes = []
     orig_det, orig_pivot = linalg.det_fp, linalg.pivot_kernels_fp
 
@@ -567,12 +569,11 @@ def test_pencil_report_eliminates_each_node_once(monkeypatch):
     monkeypatch.setattr(linalg, "pivot_kernels_fp", pivot_counted)
     pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
     assert shapes.count(("det", (120, 120))) == 3
-    # per prime: the 105 rows of two constant sections once, then the 21
-    # nodes' 15 moving rows reduced to the 21 remaining columns, as a stack
-    # (det_fp runs the square stacks of one)
+    # (det_fp runs the square stacks of one; the units are square stacks)
     pivots = [shape for kind, shape in shapes
               if kind == "pivot" and shape[1] != shape[2]]
-    assert pivots == [(1, 105, 126), (21, 15, 21)] * 3
+    assert pivots.count((1, 105, 126)) == 3
+    assert set(pivots) == {(1, 105, 126), (1, 6, 21), (1, 16, 32)}
 
 
 def test_pencil_report_reads_no_minor_through_det_fp(monkeypatch):
@@ -591,17 +592,33 @@ def test_pencil_report_reads_no_minor_through_det_fp(monkeypatch):
     assert (6, 6) not in shapes
 
 
-@pytest.mark.parametrize("pair", ["worked", "generic"])
-def test_chart_walk_values_equal_the_per_node_minors(monkeypatch, pair):
-    # every chart of the first 25 is evaluated on the walk's own data; the
-    # unit and raw samples it interpolates must equal per-node det_fp calls
+def _pencil_pair(pair):
     if pair == "worked":
-        F, G = _fixture(), _cube()
-    else:
-        F, G = random_cubic(seed=21, p=P), random_cubic(seed=22, p=P)
-    fits, kept, walked = [], {}, {}
+        return _fixture(), _cube()
+    if pair == "generic":
+        return random_cubic(seed=21, p=P), random_cubic(seed=22, p=P)
+    return random_cubic(seed=21, p=P), waring_sum(8, 0)[0]
+
+
+def _direct_product_matrix(F, G, sections, u):
+    # M(u) from the section values at u, built and checked to annihilate
+    # u*F + G by ev_product_matrix, independently of the pencil's data
+    values = [poly_from_vector([(u * x + y) % P for x, y in zip(a, b)],
+                               "S", 6, 2) for a, b in sections]
+    return ev_product_matrix(values, F.scale(u) + G, P)
+
+
+@pytest.mark.parametrize("pair", ["worked", "generic", "waring8"])
+def test_chart_walk_values_equal_the_per_node_minors(monkeypatch, pair):
+    # every chart of the first 25 is evaluated on the walk's own data: its
+    # unit samples equal per-node det_fp calls, and each raw polynomial the
+    # walk reads equals the direct 120 x 120 minor at three nodes, none of
+    # them a node of the walk and so none its shift node
+    F, G = _pencil_pair(pair)
+    fits, raws, kept, walked = [], {}, {}, {}
     orig_interpolate = linalg.interpolate
     orig_collect = hilbert._collect_node_data
+    orig_minor = hilbert._chart_minor
     orig_chart = hilbert._default_chart
 
     def recording(samples, bound, p):
@@ -612,6 +629,10 @@ def test_chart_walk_values_equal_the_per_node_minors(monkeypatch, pair):
         first, data = orig_collect(*args)
         kept["data"] = data
         return first, data
+
+    def minor_kept(data, dropped, p):
+        raws[tuple(dropped)] = orig_minor(data, dropped, p)
+        return raws[tuple(dropped)]
 
     def every_chart(fn, n, chart):
         for cand in monomials(6, 3)[:25]:
@@ -625,54 +646,51 @@ def test_chart_walk_values_equal_the_per_node_minors(monkeypatch, pair):
 
     monkeypatch.setattr(linalg, "interpolate", recording)
     monkeypatch.setattr(hilbert, "_collect_node_data", keeping)
+    monkeypatch.setattr(hilbert, "_chart_minor", minor_kept)
     monkeypatch.setattr(hilbert, "_default_chart", every_chart)
     pencil_profile(F, G, p=P)
     data = kept["data"]
     us = data.us.tolist()
     assert len(walked) == 25
-    assert sum(len(chart_fits) == 2 for chart_fits in walked.values()) > 1
     for cand, chart_fits in walked.items():
         cols = hilbert._chart_columns(cand, 6)
-        dropped = sorted(cols)
         units = [linalg.det_fp(w[:, cols], P) for w in data.witness]
-        raws = [linalg.shuffle_sign(dropped) * sign * d
-                * linalg.det_fp(kern[:, dropped], P) % P if d else 0
-                for d, sign, kern in zip(data.d.tolist(),
-                                         data.sign_free.tolist(),
-                                         data.kernels)]
-        assert chart_fits[0] == (6, list(zip(us, units)))
-        assert len(chart_fits) in (1, 2)
-        if len(chart_fits) == 2:
-            assert chart_fits[1][1] == list(zip(us, raws))
+        assert chart_fits == [(6, list(zip(us, units)))]
+    sections = hilbert._section_pairs(pencil_family(F, G, P), 6)
+    nodes = [12345, 777, 4242424]
+    assert not set(nodes) & set(us)
+    matrices = [_direct_product_matrix(F, G, sections, u) for u in nodes]
+    assert sum(bool(raw) for raw in raws.values()) > 1
+    for dropped, raw in raws.items():
+        for u, mat in zip(nodes, matrices):
+            assert linalg.poly_eval(raw, u, P) == \
+                linalg.det_fp(np.delete(mat, dropped, axis=1), P)
 
 
 @pytest.mark.parametrize("pair", ["worked", "generic"])
-def test_node_kernel_gives_every_chart_minor(pair):
-    # each node in turn goes first, so its M(u) is built directly and its
-    # minors are compared with the kernel data of the stacked elimination
-    if pair == "worked":
-        F, G = _fixture(), _cube()
-    else:
-        F, G = random_cubic(seed=21, p=P), random_cubic(seed=22, p=P)
+def test_chart_minor_across_the_fixed_pivots(pair):
+    # every cubic chart, whichever of its six columns are pivots of the
+    # fixed rows, gives the direct minor at the first node
+    F, G = _pencil_pair(pair)
     sections = hilbert._section_pairs(pencil_family(F, G, P), 6)
-    nodes = [12345, 777, 4242424]
-    for k in range(len(nodes)):
-        order = nodes[k:] + nodes[:k]
-        first, data = hilbert._collect_node_data(F, G, sections, order, P)
-        u, d, sign_free, kern = (data.us[0], data.d[0], data.sign_free[0],
-                                 data.kernels[0])
-        assert u == nodes[k] and d != 0 and kern.shape == (6, 126)
-        assert not linalg.matmul_fp(first, kern.T, P).any()
-        for chart in monomials(6, 3)[:25]:
-            dropped = sorted(hilbert._chart_columns(chart, 6))
-            identity = (linalg.shuffle_sign(dropped) * sign_free * d
-                        * linalg.det_fp(kern[:, dropped], P)) % P
-            direct = linalg.det_fp(np.delete(first, dropped, axis=1), P)
-            assert direct == identity
+    first, data = hilbert._collect_node_data(F, G, sections,
+                                              list(range(1, 99)), P)
+    assert np.array_equal(first, _direct_product_matrix(F, G, sections, 1))
+    # a free column's kernel column is a unit vector
+    free = (data.kernel != 0).sum(axis=0) == 1
+    met = set()
+    for chart in monomials(6, 3):
+        dropped = sorted(hilbert._chart_columns(chart, 6))
+        met.add(int((~free[dropped]).sum()))
+        raw = hilbert._chart_minor(data, dropped, P)
+        assert linalg.poly_eval(raw, 1, P) == \
+            linalg.det_fp(np.delete(first, dropped, axis=1), P)
+    # the generic pair meets 0..6 fixed pivots, the worked pair all but 2
+    assert len(met) >= 6
 
 
 def test_spot_check_catches_a_wrong_node_kernel(monkeypatch):
-    # the direct minor at the first node is independent of the kernels
+    # the direct minor at the first node is independent of the Schur data
     orig = hilbert._collect_node_data
 
     def perturbed(*args):
@@ -682,8 +700,46 @@ def test_spot_check_catches_a_wrong_node_kernel(monkeypatch):
         return first, data
 
     monkeypatch.setattr(hilbert, "_collect_node_data", perturbed)
-    with pytest.raises(ValueError, match="disagrees with its kernel identity"):
+    with pytest.raises(ValueError, match="disagrees with its characteristic"):
         pencil_profile(_fixture(), _cube(), (0, 0, 0, 0, 0, 3), p=P, seed=2)
+
+
+@pytest.mark.parametrize("wrong", ["shift-determinant", "charpoly"])
+def test_spot_check_catches_a_wrong_chart_polynomial(monkeypatch, wrong):
+    # a wrong det L(u*) scales every chart's raw polynomial alike, so the
+    # charts still agree; a wrong charpoly coefficient is caught by the
+    # verifying chart, so here the explicit chart is the only usable one.
+    # Either way the spot check must raise
+    chart = (0, 0, 0, 0, 0, 3)
+    if wrong == "shift-determinant":
+        orig = linalg.pivot_kernels_fp
+
+        def perturbed(stack, p):
+            out = orig(stack, p)
+            if np.shape(stack)[2] == 2 * np.shape(stack)[1] > 12:
+                out = [((d + 1) % p, pivots, kern) for d, pivots, kern in out]
+            return out
+
+        monkeypatch.setattr(linalg, "pivot_kernels_fp", perturbed)
+    else:
+        orig_char, orig_chart = linalg.charpoly_fp, hilbert._default_chart
+
+        def perturbed(mat, p):
+            char = orig_char(mat, p)
+            char[1] = (char[1] + 1) % p
+            return char
+
+        def lone(fn, n, explicit):
+            def only(cand):
+                if cand != chart:
+                    raise ValueError("chart unit vanishes identically")
+                return fn(cand)
+            return orig_chart(only, n, explicit)
+
+        monkeypatch.setattr(linalg, "charpoly_fp", perturbed)
+        monkeypatch.setattr(hilbert, "_default_chart", lone)
+    with pytest.raises(ValueError, match="disagrees with its characteristic"):
+        pencil_profile(_fixture(), _cube(), chart, p=P, seed=2)
 
 
 def test_pencil_needs_enough_nonzero_nodes():

@@ -367,6 +367,48 @@ def test_pivot_kernel_of_a_rank_deficient_matrix():
     assert linalg.det_fp(mat[:, :3], P) == 0
 
 
+charpoly_cases = st.tuples(st.sampled_from([SMALL_P, P]),
+                           st.integers(0, 24)).flatmap(
+    lambda pn: st.tuples(
+        st.just(pn[0]),
+        st.lists(st.lists(st.integers(0, pn[0] - 1), min_size=pn[1],
+                          max_size=pn[1]), min_size=pn[1], max_size=pn[1]),
+        st.lists(st.booleans(), min_size=pn[1], max_size=pn[1]),
+        st.floats(0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(charpoly_cases)
+def test_charpoly_matches_interpolated_determinants(case):
+    # det(x I - G) sampled by det_fp at n + 1 nodes and interpolated; mod 7
+    # only n <= 6 has that many nodes, and larger n is checked at all 7.
+    # Sparse inputs and cleared subdiagonal entries give the Hessenberg
+    # reduction columns without a pivot and the recurrence zero links
+    p, rows, cut, density = case
+    n = len(rows)
+    rng = random.Random(n)
+    g = np.array([[x if rng.random() < density else 0 for x in row]
+                  for row in rows], dtype=np.int64).reshape(n, n)
+    for j in range(n - 1):
+        if cut[j]:
+            g[j + 1, j] = 0
+    char = linalg.charpoly_fp(g, p)
+    assert len(char) == n + 1 and char[-1] == 1
+    nodes = range(min(n + 1, p))
+    values = [linalg.det_fp((x * np.eye(n, dtype=np.int64) - g) % p, p)
+              if n else 1 for x in nodes]
+    if n < p:
+        assert linalg._trim(list(char)) == \
+            linalg.interpolate(list(zip(nodes, values)), n, p)
+    else:
+        assert [linalg.poly_eval(char, x, p) for x in nodes] == values
+
+
+def test_charpoly_rejects_non_square():
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.charpoly_fp([[1, 2, 3], [4, 5, 6]], P)
+
+
 def test_restrict_kernel_matches_stacked_kernel():
     """Cutting a kernel down block by block must agree with one big kernel."""
     rng = random.Random(9)
