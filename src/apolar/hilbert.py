@@ -6,7 +6,7 @@ point of the Hilbert scheme of A^6.  The tangent space there has dimension
 annihilator ideal; the generic value is 76, attained exactly when the
 degree-4 perp has its minimal dimension 6.  The locus where the dimension
 jumps is a divisor E, cut out along any pencil of cubics by a determinant
-that this module samples and interpolates exactly over prime fields.
+that this module computes exactly over prime fields.
 
 Conventions used throughout:
 
@@ -181,9 +181,18 @@ class _Slices:
         return self.cache[r]
 
 
+def _check_prime(p: int) -> None:
+    """Refuse an explicit modulus that is not prime: every inverse mod p
+    would silently be wrong, or fail deep inside an elimination."""
+    if not is_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
+
+
 def _checked_slices(F: Poly, p: int | None) -> _Slices:
     if p is not None and p <= 7:
         raise ValueError("the modular perps need a prime above 7")
+    if p is not None:
+        _check_prime(p)
     if not is_nondegenerate_cubic(F, p):
         raise ValueError("squared-ideal analysis needs a nondegenerate cubic")
     cert = None if p is not None else _Slices(F, _cert_prime(F))
@@ -211,8 +220,8 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     slices scaled to integer rows, go to the p-adic solver
     :func:`linalg.kernel_q`.
 
-    Raises ValueError for a degree outside 4..7, p <= 7 or a degenerate
-    cubic.
+    Raises ValueError for a degree outside 4..7, p <= 7, a modulus that is
+    not prime, or a degenerate cubic.
     """
     if d < 4 or d > 7:
         raise ValueError("degree must be between 4 and 7")
@@ -409,8 +418,9 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
 
     With ``field_kind="fp"`` the computation runs over ``n_primes``
     distinct random primes that divide no denominator of F (or the
-    explicit ``primes``) and every reported integer must agree across
-    them; disagreement raises RuntimeError.
+    explicit ``primes``, each of which must be prime, else ValueError)
+    and every reported integer must agree across them; disagreement
+    raises RuntimeError.
     With ``field_kind="q"`` the exact rational path runs (certificates,
     and the verified p-adic solver where certificates do not apply).
 
@@ -427,6 +437,9 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
     elif field_kind == "fp":
         if primes is None:
             primes = draw_primes(n_primes, seed, F)
+        else:
+            for p in primes:
+                _check_prime(p)
         used = list(primes)
         if not used:
             raise ValueError("the fp analysis needs at least one prime")
@@ -469,18 +482,18 @@ def fiber_equivalence(F3: Poly, Q: Poly, Q2: Poly, p: int | None = None) -> bool
 
 @dataclass
 class PencilProfile:
-    """Interpolated divisor equation along one pencil, over one prime.
+    """The divisor equation along one pencil, over one prime.
 
     ``determinant`` holds the ascending monic coefficients of the chart
     determinant after the chart-unit factor (the 6 x 6 minor of the
     witness rows x_j (dp-times) F on the dropped columns) has been divided
     out.  By the complementary-minor identity this quotient is the same
     for every usable chart; ``chart`` records the one that computed it,
-    and ``roots`` are found once, on it.  Every chart minor is read from
-    each node's kernel through that identity, so the verifying
-    chart of the walk checks the identity, not an independent
-    computation; the independent check is one direct 120 x 120 minor of
-    the accepted chart at the first node.  Its roots are the pencil
+    and ``roots`` are found once, on it.  Each chart's minor comes from
+    its own Schur complement and characteristic polynomial, so the
+    verifying chart of the walk is an independent computation of the
+    same quotient; one direct 120 x 120 minor of the accepted chart at
+    the first node checks the raw polynomial itself.  Its roots are the pencil
     parameters u (with v = 1) meeting the divisor of non-generic
     annihilator squares.  At a simple crossing
     through a generic divisor point the square of the annihilator spans
@@ -606,11 +619,11 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     det C[:, Pc] and their kernel K_C, the identity on the other columns
     Fc.  For the moving rows V(u), N(u) = V(u) K_C^T = N0 + u*N1 + u^2*N2
     comes from three fixed products, and only the rows of N2 that belong
-    to two moving sections are nonzero.  ``scale`` folds in the signs
-    that move the rows of C to the top and the columns Pc to the front,
-    so that det [C; E; V(u)] = scale * det [K_C[:, S]^T; N(u)] for the
-    unit rows E of any six columns S (:func:`_chart_minor`); it is 0 when
-    C drops rank, and then every chart minor is 0.
+    to two moving sections are nonzero.  ``scale`` is det C[:, Pc] times
+    the signs that move the rows of C to the top of M(u) and the columns
+    Pc to the front, so that det [M(u); E] = scale * det [K_C[:, S]^T;
+    N(u)] for the unit rows E of any six columns S (:func:`_chart_minor`);
+    it is 0 when C drops rank, and then every chart minor is 0.
     """
     n = F1.n
     f1v, f2v = linalg.to_fp_matrix(
@@ -648,7 +661,7 @@ def _chart_minor(data: _PencilData, dropped, p: int) -> list[int]:
     Putting the unit rows E of S under M(u) gives a 126 x 126 matrix
     whose determinant is eps(S) times the minor (Laplace along E).  The
     rows C of :func:`_collect_node_data` are eliminated once for every
-    chart, which leaves det [Y; N(u)] with Y = K_C[:, S]^T constant; its
+    chart, which leaves scale * det [Y; N(u)] with Y = K_C[:, S]^T; its
     six rows are eliminated here, giving their pivot columns J, d_Y and
     the kernel B, the identity on the other columns.  Then
 
@@ -702,36 +715,36 @@ def _chart_minor(data: _PencilData, dropped, p: int) -> list[int]:
 
 def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
                    p: int | None = None, seed: int = 0) -> PencilProfile:
-    """Interpolated chart determinant along the pencil u*F1 + v*F2 (v = 1).
+    """Chart determinant along the pencil u*F1 + v*F2 (v = 1), exactly
+    over one prime field.
 
-    The 120 x 120 minor of the section-product matrix, with the six
-    columns {x_i * m} of the chart cubic m dropped, is sampled at distinct
-    nonzero parameters, interpolated (degree bound 16 per moving section,
-    with surplus samples cross-checked), and divided exactly by the
-    interpolated chart-unit determinant; the quotient cuts out the
-    divisor of cubics with oversized square perps, with the multiplicity
-    structure described on :class:`PencilProfile`.  The parameter u = 0
-    itself is never sampled — only the interpolant speaks about it, which
-    is the point: the annihilator there may jump.
+    The 120 x 120 minor of the section-product matrix M(u), with the six
+    columns {x_i * m} of the chart cubic m dropped, is computed as a
+    polynomial in u (degree at most 16 per moving section), and divided
+    exactly by the chart-unit determinant, interpolated from its values
+    at distinct nonzero nodes (degree 6, with surplus samples
+    cross-checked); the quotient cuts out the divisor of cubics with
+    oversized square perps, with the multiplicity structure described on
+    :class:`PencilProfile`.  The parameter u = 0 itself is never a node
+    — only the polynomials speak about it, which is the point: the
+    annihilator there may jump.
 
-    The family (:func:`pencil_family`), the nodes and the per-node data
-    are built once: the rows of the product matrix M(u) that do not move
-    with u are eliminated once per prime, the rest at all nodes together
-    in one stacked elimination (see :func:`_collect_node_data`), and every
-    chart reads its minor from the resulting 6 x 126 kernel by the
-    complementary-minor identity (Grassmann duality Gr(120,126) =
-    Gr(6,126)), a 6 x 6 determinant.  A chart is evaluated at all nodes
-    by two stacked eliminations (:func:`linalg.pivot_kernels_fp`): one of
-    the 6 x 6 unit blocks W(u)[:, chart columns], one of the kernel
-    blocks K[:, dropped] of the nodes where M(u) has full rank (the minor
-    is 0 at the others).  The determinant comes from
-    ``chart_cubic`` when given, else from the first usable cubic monomial.
-    The first usable monomial after it, in cyclic monomial order, verifies
-    it: the two monic determinants must be equal.  Both read the same kernels, so this
-    checks the identity rather than the elimination; the independent
-    check is a spot check, one direct 120 x 120 determinant of the
-    accepted chart at the first node compared with the identity's value.
-    Roots are then found once, on the accepted determinant.
+    The family (:func:`pencil_family`), the nodes and the pencil data are
+    built once per prime (:func:`_collect_node_data`): the witness rows
+    at every node, and one elimination of the rows of M(u) that do not
+    move with u, which leaves a Schur complement quadratic in u.  A
+    chart's unit is one stacked elimination of its 6 x 6 blocks
+    W(u)[:, chart columns] at all nodes (:func:`linalg.pivot_kernels_fp`);
+    its raw minor is :func:`_chart_minor`, one six-row elimination and one
+    characteristic polynomial of the linearized Schur complement, shifted
+    to a node.  The determinant comes from ``chart_cubic`` when given,
+    else from the first usable cubic monomial.  The first usable monomial
+    after it, in cyclic monomial order, verifies it: its own Schur
+    complement and characteristic polynomial must give the same monic
+    determinant.  A spot check then compares one direct 120 x 120
+    determinant of the accepted chart at the first node, which is never
+    a shift node, with its raw polynomial there.  Roots are then found
+    once, on the accepted determinant.
 
     Args:
         chart_cubic: optional degree-3 exponent tuple or monomial Poly.
@@ -739,13 +752,15 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
             with at least 16 * movers + 5 nonzero residues to sample.
 
     Raises:
-        ValueError: a prime too small for the nodes, an unusable explicit
-            chart, no usable chart at all, charts that disagree, a spot
-            check that disagrees with the identity, or a family that does
+        ValueError: a modulus that is not prime, a prime too small for
+            the nodes, an unusable explicit chart, no usable chart at
+            all, charts that disagree, a spot check that disagrees with
+            the chart's characteristic polynomial, or a family that does
             not move.
     """
     if p is None:
         raise ValueError("pencil profiles are computed over a prime field")
+    _check_prime(p)
     n = F1.n
     chart = None
     if isinstance(chart_cubic, Poly):
@@ -814,11 +829,13 @@ def _default_chart(fn, n: int, chart: tuple | None):
     ``chart`` (which must be usable), or else the first usable monomial,
     gives the determinant; the first other usable monomial must give the
     same monic determinant, as the complementary-minor identity says every
-    usable chart does.  In the pencil both charts read their minors from
-    the same per-node kernels through that identity, so the second chart
-    checks the identity and the chart arithmetic; the spot check of one
-    direct minor in :func:`pencil_profile` is the independent one.  The
-    walk starts just after an explicit chart, so a chart carried over from
+    usable chart does.  In the pencil each chart runs its own Schur
+    complement and characteristic polynomial (:func:`_chart_minor`), so
+    the second chart checks all of the first's arithmetic but the
+    fixed-row elimination they share; the spot
+    check of one direct minor in :func:`pencil_profile` checks the raw
+    polynomial, which the monic normalization would hide.  The walk
+    starts just after an explicit chart, so a chart carried over from
     an earlier prime is verified by the monomial that verified it there,
     without first retrying the unusable ones before it.  A lone usable
     chart is accepted unverified.

@@ -31,6 +31,9 @@ min(nrows, ncols) * (p-1)^2 + p.  That must stay below 2^63, which for
 p < 2^26 allows 2,048 rows or columns; larger shapes are refused.  The
 kernel it returns, the identity on the free columns, gives every maximal
 minor through the complementary-minor identity (see :func:`shuffle_sign`).
+Characteristic polynomials (:func:`charpoly_fp`) come from a Hessenberg
+reduction by similarity mod p and the Hessenberg recurrence; the pencil
+reads each chart's minor, a polynomial in u, from one of them.
 Univariate interpolation (Newton divided differences) and roots (Yun's
 square-free decomposition, then Cantor-Zassenhaus) work over F_p only.
 Many residues are inverted at once by Montgomery's trick
@@ -227,8 +230,8 @@ def pivot_kernels_fp(stack, p: int) -> list:
     pivot for some of them and free for the others splits the stack.  The
     pivots of a column are inverted as one batch (:func:`_inverse_fp`).
     On a stack of square matrices each d is the determinant, so the
-    pencil's chart walk evaluates the 6 x 6 minors of a chart at all of
-    its nodes with one call.
+    pencil's chart walk evaluates the 6 x 6 unit minors of a chart at all
+    of its nodes with one call.
     """
     shape = np.shape(stack)
     if len(shape) != 3:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -249,6 +250,37 @@ def test_rational_analysis_is_gl6_equivariant(make, perp4):
     assert a.perp_dims[4] == perp4 and a.on_E == (perp4 > 6)
 
 
+small_gl6 = st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+                     min_size=6, max_size=6).filter(
+    lambda g: linalg.det_fp(g, P) != 0)
+
+
+def _modular_facts(F):
+    report = analyze(F, primes=[P])
+    return (report.hf, report.dim_I2, report.perp_dims, report.tangent_dim,
+            report.on_E)
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_gl6, st.sampled_from(["random", "waring7", "waring9"]),
+       st.integers(0, 3))
+def test_modular_analysis_is_gl6_equivariant(g, kind, seed):
+    F = random_cubic(seed) if kind == "random" \
+        else waring_sum(int(kind[-1]), seed)[0]
+    assert _modular_facts(change_of_basis(F, g)) == _modular_facts(F)
+
+
+@functools.lru_cache(maxsize=None)
+def _gr26_section():
+    return gr26_section_cubic(0).cubic
+
+
+@settings(max_examples=5, deadline=None)
+@given(small_gl6)
+def test_gr26_section_stays_on_E_under_gl6(g):
+    assert analyze(change_of_basis(_gr26_section(), g), primes=[P]).on_E
+
+
 def test_tangent_dimension_values():
     assert analyze(_fixture(), primes=[P]).tangent_dim == 76
     assert analyze(sum_of_cubes(), primes=[P]).tangent_dim == 112
@@ -411,6 +443,19 @@ def test_modular_perps_reject_primes_up_to_7(p):
         perp_dimensions(sum_of_cubes(), p)
     with pytest.raises(ValueError, match="prime above 7"):
         square_perp_basis(_fixture(), 4, p)
+
+
+@pytest.mark.parametrize("entry,modulus", [
+    (lambda q: analyze(random_cubic(0), primes=[P, q]), 3000009),
+    (lambda q: perp_dimensions(random_cubic(0), q), 3000009),
+    (lambda q: pencil_report(_fixture(), _cube(), primes=[q]), 91),
+    (lambda q: pencil_profile(_fixture(), _cube(), p=q), 91),
+], ids=["analyze", "perps", "pencil_report", "pencil_profile"])
+def test_composite_moduli_are_refused_where_they_enter(entry, modulus):
+    # 3000009 = 3 * 1000003 gave perp dims of 0 and a wrong verdict, and
+    # 91 = 7 * 13 failed on a missing inverse inside the pencil
+    with pytest.raises(ValueError, match="modulus %d is not prime" % modulus):
+        entry(modulus)
 
 
 # ---------------------------------------------------------------------------
