@@ -640,7 +640,8 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     first_vals = (a_mat * nodes[0] + b_mat) % p
     first = products(first_vals, first_vals)
     m0, m2 = products(b_mat, b_mat), products(a_mat, a_mat)
-    m1 = (products(a_mat, b_mat) + products(b_mat, a_mat)) % p
+    ab = _products(a_mat, b_mat, 2, 2, n)  # b_i * a_j is ab[j, i]
+    m1 = (ab + ab.transpose(1, 0, 2))[pairs] % p
     fixed = ~(m1.any(axis=1) | m2.any(axis=1))
     ((d_fixed, piv_fixed, k_fixed),) = linalg.pivot_kernels_fp(
         m0[fixed][None], p)

@@ -224,10 +224,12 @@ def pivot_kernels_fp(stack, p: int) -> list:
     identity on the free columns (one int64 row per free column, in
     increasing order).  Column c is reduced mod p only when it becomes the
     pivot column and a row only when it becomes the pivot row; the trailing
-    block is updated without ``% p``, so its entries stay below
-    min(nrows, ncols) * (p-1)^2 + p in absolute value.  The matrices share
-    every numpy step while their pivot columns agree; a column that is a
-    pivot for some of them and free for the others splits the stack.  The
+    block is updated without ``% p``, and only in the rows with a nonzero
+    entry in the pivot column (in some member of the stack), so its
+    entries stay below min(nrows, ncols) * (p-1)^2 + p in absolute value.
+    The matrices share every numpy step while their pivot columns agree;
+    a column that is a pivot for some of them and free for the others
+    splits the stack.  The
     pivots of a column are inverted as one batch (:func:`_inverse_fp`).
     On a stack of square matrices each d is the determinant, so the
     pencil's chart walk evaluates the 6 x 6 unit minors of a chart at all
@@ -276,7 +278,15 @@ def pivot_kernels_fp(stack, p: int) -> list:
             inverses.append(np.array(_inverse_fp(piv.tolist(), p),
                                      dtype=np.int64))
             factors = m[:, r + 1:, c] * inverses[-1][:, None] % p
-            m[:, r + 1:, c + 1:] -= factors[:, :, None] * m[:, r, None, c + 1:]
+            # rows with a zero factor in every member keep their entries;
+            # a slice is cheaper than a gather when every row moves
+            rows = np.flatnonzero(factors.any(axis=0))
+            if rows.size == factors.shape[1]:
+                m[:, r + 1:, c + 1:] -= (factors[:, :, None]
+                                         * m[:, r, None, c + 1:])
+            elif rows.size:
+                m[:, r + 1 + rows, c + 1:] -= (factors[:, rows, None]
+                                               * m[:, r, None, c + 1:])
             pivots.append(c)
             r += 1
         is_pivot = set(pivots)

@@ -357,6 +357,27 @@ def test_pivot_kernels_of_a_stack_match_each_matrix_alone():
     assert together[1][1][0] == 1 and together[4][1][0] == 2
 
 
+@pytest.mark.parametrize("density", [0.05, 0.15, 0.4])
+def test_pivot_kernels_of_sparse_matrices(density):
+    # most rows below a pivot have a zero factor and are left as they are;
+    # determinants still match Bareiss, kernels still annihilate, and a
+    # stack still matches each member alone
+    rng = random.Random(int(density * 100))
+    for n, extra in [(8, 0), (20, 0), (30, 5), (12, 9)]:
+        stack = np.array([[[rng.randrange(1, P) if rng.random() < density
+                            else 0 for _ in range(n + extra)]
+                           for _ in range(n)] for _ in range(3)],
+                         dtype=np.int64)
+        together = linalg.pivot_kernels_fp(stack, P)
+        for mat, (d, pivots, kern) in zip(stack, together):
+            assert not linalg.matmul_fp(mat, kern.T, P).any()
+            assert d == (det_bareiss(mat[:, pivots].tolist()) % P
+                         if len(pivots) == n else 0)
+            ((d1, pivots1, kern1),) = linalg.pivot_kernels_fp(mat[None], P)
+            assert (d, pivots) == (d1, pivots1)
+            assert np.array_equal(kern, kern1)
+
+
 def test_pivot_kernel_of_a_rank_deficient_matrix():
     mat = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 5]], dtype=np.int64)
     ((d, pivots, kern),) = linalg.pivot_kernels_fp(mat[None], P)
