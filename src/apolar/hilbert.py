@@ -493,8 +493,8 @@ class PencilProfile:
     its own Schur complement and characteristic polynomial, so the
     verifying chart of the walk is an independent computation of the
     same quotient; one direct 120 x 120 minor of the accepted chart at
-    the first node checks the raw polynomial itself.  Its roots are the pencil
-    parameters u (with v = 1) meeting the divisor of non-generic
+    the first node checks the raw polynomial itself.  Its roots are the
+    pencil parameters u (with v = 1) meeting the divisor of non-generic
     annihilator squares.  At a simple crossing
     through a generic divisor point the square of the annihilator spans
     111 of the 126 degree-4 coordinates, the 120 x 120 minor drops rank

@@ -229,8 +229,8 @@ def pivot_kernels_fp(stack, p: int) -> list:
     entries stay below min(nrows, ncols) * (p-1)^2 + p in absolute value.
     The matrices share every numpy step while their pivot columns agree;
     a column that is a pivot for some of them and free for the others
-    splits the stack.  The
-    pivots of a column are inverted as one batch (:func:`_inverse_fp`).
+    splits the stack.  The pivots of a column are inverted as one batch
+    (:func:`_inverse_fp`).
     On a stack of square matrices each d is the determinant, so the
     pencil's chart walk evaluates the 6 x 6 unit minors of a chart at all
     of its nodes with one call.
@@ -354,7 +354,7 @@ def charpoly_fp(mat, p: int) -> list:
     if h.shape != (n, n):
         raise ValueError("characteristic polynomial of a non-square matrix")
     if n * (p - 1) ** 2 + p >= 2 ** 63:
-        raise ValueError("matrix too large for int64 characteristic polynomial")
+        raise ValueError("matrix too large for an int64 charpoly")
     for m in range(1, n - 1):
         nz = np.flatnonzero(h[m:, m - 1])
         if not nz.size:
