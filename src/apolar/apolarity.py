@@ -273,7 +273,7 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
     mat = _contraction_matrix(f, 4, p)
     # operator-coefficient combinations live in the left kernel
     kern = linalg._free_kernel_q(mat.T) if p is None else \
-        linalg._kernel(linalg.field_array(mat.T, p), p).tolist()
+        linalg.pivot_kernel_fp(mat.T, p)[2].tolist()
     gens = []
     offs, _ = _le_offsets(f.n, 4)
     for vec in kern:

@@ -21,6 +21,8 @@ from . import constructions, hilbert
 from .apolarity import family_length_profile
 from .poly import Poly, format_poly, parse_family_template, parse_poly
 
+_N_VARS = 6  # cubics in x0..x5
+
 _EXIT_BY_VERDICT = {
     hilbert.VERDICT_NONSMOOTHABLE: 0,
     hilbert.VERDICT_BOUNDARY: 2,
@@ -81,8 +83,6 @@ def _add_common(sub, field_default="fp"):
                      help="seed for primes and sampling (default 0)")
     sub.add_argument("--json", metavar="PATH",
                      help="write a JSON report to PATH ('-' for stdout)")
-    sub.add_argument("--vars", type=int, choices=[6], default=6,
-                     help="number of variables (only 6 is supported)")
 
 
 def _build_parser() -> _Parser:
@@ -134,7 +134,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    F = parse_poly(args.cubic, "P", args.vars)
+    F = parse_poly(args.cubic, "P", _N_VARS)
     t0 = time.monotonic()
     report = hilbert.analyze(
         F, n_primes=args.primes, seed=args.seed, field_kind=args.field)
@@ -158,19 +158,19 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_pencil(args) -> int:
-    f1 = parse_poly(args.f1, "P", args.vars)
-    f2 = parse_poly(args.f2, "P", args.vars)
+    f1 = parse_poly(args.f1, "P", _N_VARS)
+    f2 = parse_poly(args.f2, "P", _N_VARS)
     if args.field == "q":
         raise UsageError("pencil profiles are computed over prime fields; "
                          "use --field fp")
-    chart = parse_poly(args.chart, "P", args.vars) if args.chart else None
+    chart = parse_poly(args.chart, "P", _N_VARS) if args.chart else None
     t0 = time.monotonic()
     report = hilbert.pencil_report(f1, f2, chart, n_primes=args.primes,
                                    seed=args.seed)
     elapsed = int((time.monotonic() - t0) * 1000)
     print("pencil: u * (%s) + (%s)" % (format_poly(f1), format_poly(f2)))
     print("chart: %s" % format_poly(
-        Poly.monomial("P", args.vars, tuple(report["chart"]))))
+        Poly.monomial("P", _N_VARS, tuple(report["chart"]))))
     print("total degree: %d" % report["total_degree"])
     print("multiplicity at u = 0: %d" % report["multiplicity_at_zero"])
     for p, roots in sorted(report["roots_by_prime"].items()):
@@ -223,7 +223,7 @@ def _cmd_construct(args) -> int:
         payload["identification"] = [list(q) for q in
                                      constructions.dvap_identification()]
     else:
-        cubic = constructions.sum_of_cubes(args.vars)
+        cubic = constructions.sum_of_cubes(_N_VARS)
     payload["cubic"] = format_poly(cubic)
     if p is not None:
         payload["prime"] = p
@@ -237,7 +237,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    template = parse_family_template(args.template, args.vars)
+    template = parse_family_template(args.template, _N_VARS)
     try:
         samples = [int(tok) for tok in args.samples.split(",") if tok.strip()]
     except ValueError:

@@ -259,7 +259,7 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
             red, rank, _ = linalg.rref_fp(
                 _witness_rows(rows, n, d - 1).reshape(-1, dim_d), p)
             space = red[:rank]
-        kern = linalg._kernel(_pairings(space, d, slices), p)
+        kern = linalg.pivot_kernel_fp(_pairings(space, d, slices), p)[2]
         slices.perps[d] = linalg.SubspaceBasis(
             "P", d, n, dim_d, p,
             linalg.rref_fp(linalg.matmul_fp(kern, space, p), p)[0].tolist())
@@ -538,7 +538,10 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
 
     The constants come from one kernel, of both transposed degree-2
     catalecticants stacked: canonical RREF rows of the common annihilator
-    slice."""
+    slice.  The movers are the rows of one RREF of the constants (in both
+    halves) and the solutions together whose pivot is not a pivot of the
+    constants: a subspace's pivots are among its superspace's, so these
+    rows are the RREF of the solutions modulo the constants."""
     n = F1.n
     dim2 = dim_degree(n, 2)
     t1 = catalecticant(F1, 2, p)
@@ -551,24 +554,11 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
         np.hstack([t2.T, t1.T]),
     ])
     solutions = linalg.kernel_fp(rows, p)
-    movers: list[np.ndarray] = []
-    if len(constants):
-        zc = np.zeros_like(constants)
-        cc = np.vstack([np.hstack([constants, zc]),
-                        np.hstack([zc, constants])])
-        red, rank, pivots = linalg.rref_fp(cc, p)
-        for vec in solutions:
-            v = vec.copy()
-            for rrow, pc in zip(red[:rank], pivots):
-                if v[pc]:
-                    v = (v - int(v[pc]) * rrow) % p
-            if np.any(v):
-                movers.append(v)
-    else:
-        movers = [vec.copy() for vec in solutions]
-    if movers:
-        red, rank, _ = linalg.rref_fp(movers, p)
-        movers = [red[i] for i in range(rank)]
+    zc = np.zeros_like(constants)
+    cc = np.vstack([np.hstack([constants, zc]), np.hstack([zc, constants])])
+    fixed = set(linalg.rref_fp(cc, p)[2])
+    red, _, pivots = linalg.rref_fp(np.vstack([cc, solutions]), p)
+    movers = [red[i] for i, c in enumerate(pivots) if c not in fixed]
     if len(constants) + len(movers) != 15:
         raise ValueError(
             "pencil family has %d constants + %d movers, expected 15 total"
@@ -643,8 +633,7 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     ab = _products(a_mat, b_mat, 2, 2, n)  # b_i * a_j is ab[j, i]
     m1 = (ab + ab.transpose(1, 0, 2))[pairs] % p
     fixed = ~(m1.any(axis=1) | m2.any(axis=1))
-    ((d_fixed, piv_fixed, k_fixed),) = linalg.pivot_kernels_fp(
-        m0[fixed][None], p)
+    d_fixed, piv_fixed, k_fixed = linalg.pivot_kernel_fp(m0[fixed], p)
     schur = tuple(linalg.matmul_fp(mk[~fixed], k_fixed.T, p)
                   for mk in (m0, m1, m2))
     scale = (linalg.shuffle_sign(np.flatnonzero(fixed))
@@ -682,8 +671,7 @@ def _chart_minor(data: _PencilData, dropped, p: int) -> list[int]:
     """
     if not data.scale:
         return []
-    ((d_y, pivots, basis),) = linalg.pivot_kernels_fp(
-        data.kernel[:, dropped].T[None], p)
+    d_y, pivots, basis = linalg.pivot_kernel_fp(data.kernel[:, dropped].T, p)
     if not d_y:
         return []
     rest = np.setdiff1d(np.arange(data.kernel.shape[0]), pivots)
@@ -696,8 +684,8 @@ def _chart_minor(data: _PencilData, dropped, p: int) -> list[int]:
     const[range(r, size), range(r, size)] = 1
     lin[quad, range(r, size)] = 1
     for shift in data.us[1:size + 2].tolist():
-        ((d_lin, lin_pivots, solution),) = linalg.pivot_kernels_fp(
-            np.hstack([(const + shift * lin) % p, lin])[None], p)
+        d_lin, lin_pivots, solution = linalg.pivot_kernel_fp(
+            np.hstack([(const + shift * lin) % p, lin]), p)
         if d_lin and lin_pivots[-1] == size - 1:
             break
     else:
@@ -735,7 +723,7 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
     at every node, and one elimination of the rows of M(u) that do not
     move with u, which leaves a Schur complement quadratic in u.  A
     chart's unit is one stacked elimination of its 6 x 6 blocks
-    W(u)[:, chart columns] at all nodes (:func:`linalg.pivot_kernels_fp`);
+    W(u)[:, chart columns] at all nodes (:func:`linalg.dets_fp`);
     its raw minor is :func:`_chart_minor`, one six-row elimination and one
     characteristic polynomial of the linearized Schur complement, shifted
     to a node.  The determinant comes from ``chart_cubic`` when given,
@@ -793,8 +781,7 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
 
     def chart_determinant(chart_expo: tuple):
         chart_cols = _chart_columns(chart_expo, n)
-        units = [m for m, _, _ in linalg.pivot_kernels_fp(
-            data.witness[:, :, chart_cols], p)]
+        units = linalg.dets_fp(data.witness[:, :, chart_cols], p)
         dunit = linalg.interpolate(list(zip(nodes, units)), 6, p)
         if not dunit:
             raise ValueError("chart unit vanishes identically (bad chart)")

@@ -5,10 +5,11 @@ Elimination runs mod p only, on 2-D int64 working arrays of residues
 int64 even after summing along the longest shared dimension used in this
 package (792), so the modular code is exact in machine integers.  One
 Gauss-Jordan body (:func:`_rref`) and one kernel construction
-(:func:`_kernel`) serve every caller; ``rref``, ``rank`` and ``kernel`` are
-the field switch.  The ``_fp`` entry points return int64 arrays, the
-``_q`` ones lists of Fraction rows.  Both fields take one input contract:
-ints (Python or numpy) and Fractions, anything else is a TypeError.
+(:func:`pivot_kernel_fp`) serve every caller; ``rref``, ``rank`` and
+``kernel`` are the field switch.  The ``_fp`` entry points return int64
+arrays, the ``_q`` ones lists of Fraction rows.  Both fields take one
+input contract: ints (Python or numpy) and Fractions, anything else is a
+TypeError.
 
 Over Q, :func:`rref_q`, :func:`kernel_q` and :func:`rank_q` are entry
 points into one p-adic solver (Dixon 1982).  Each row is scaled to
@@ -21,16 +22,14 @@ the kernel basis it gives is zero, over all rows; with the rank mod p as
 the lower bound that proves the rank, and an echelon-shape check proves
 the pivots.  An unlucky prime fails a check and the next one is taken.
 
-Determinants and pivot kernels run one forward elimination
-(:func:`pivot_kernels_fp`; :func:`det_fp` is its square case, tested
-against an integer Bareiss reference in the tests).  It delays
-the modular reduction of the trailing block (Dumas-Giorgi-Pernet, FFLAS):
-a column is reduced when it becomes the pivot column and a row when it
-becomes the pivot row, so the unreduced entries stay below
-min(nrows, ncols) * (p-1)^2 + p.  That must stay below 2^63, which for
-p < 2^26 allows 2,048 rows or columns; larger shapes are refused.  The
-kernel it returns, the identity on the free columns, gives every maximal
-minor through the complementary-minor identity (see :func:`shuffle_sign`).
+The Gauss-Jordan body reduces mod p at every step, and it also returns
+d = det M[:, pivots] for independent rows, the signed product of the
+pivots; :func:`det_fp` reads it, tested against an integer Bareiss
+reference in the tests.  :func:`pivot_kernel_fp` adds the kernel that is
+the identity on the free columns, which gives every maximal minor
+through the complementary-minor identity (see :func:`shuffle_sign`).
+Only :func:`dets_fp` eliminates a stack at once: the pencil's 6 x 6
+chart units at all nodes.
 Characteristic polynomials (:func:`charpoly_fp`) come from a Hessenberg
 reduction by similarity mod p and the Hessenberg recurrence; the pencil
 reads each chart's minor, a polynomial in u, from one of them.
@@ -43,10 +42,10 @@ differences of an interpolation, the denominators of a Fraction matrix.
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
 their basis matrices.  Inside, a kernel mod p is the basis that is the
-identity on the free columns, from one elimination (:func:`_kernel`); a
-basis is reduced to RREF once, where it is published (:func:`kernel_fp`,
-``hilbert.square_perp_basis``).  Over Q the solver's right-greedy pivots
-make the kernel basis RREF as it comes.
+identity on the free columns, from one elimination
+(:func:`pivot_kernel_fp`); a basis is reduced to RREF once, where it is
+published (:func:`kernel_fp`, ``hilbert.square_perp_basis``).  Over Q
+the solver's right-greedy pivots make the kernel basis RREF as it comes.
 """
 
 from __future__ import annotations
@@ -155,15 +154,17 @@ def _rref(m: np.ndarray, p: int):
     """Gauss-Jordan elimination of a working array mod p, in place.
 
     Only the rows with a nonzero entry in the pivot column are updated.
-    Returns (reduced array, rank, pivot column list, pivot rows): the
+    Returns (reduced array, rank, pivot column list, pivot rows, d): the
     pivot rows are the input rows each pivot was taken from, in pivot
     order, so they are independent and the input restricted to them and
-    the pivot columns is invertible mod p.
+    the pivot columns is invertible mod p.  d = det M[:, pivots] when the
+    rows of M are independent, and 0 otherwise: the product of the pivots
+    before each row is normalized, its sign flipped at each row swap.
     """
     nrows, ncols = m.shape
     pivots: list[int] = []
     order = list(range(nrows))
-    r = 0
+    r, d = 0, 1
     for c in range(ncols):
         if r == nrows:
             break
@@ -174,25 +175,34 @@ def _rref(m: np.ndarray, p: int):
         if i != r:
             m[[r, i]] = m[[i, r]]
             order[r], order[i] = order[i], order[r]
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+            d = -d
+        pivot = int(m[r, c])
+        d = d * pivot % p
+        m[r, c:] = m[r, c:] * pow(pivot, p - 2, p) % p
         rows = np.flatnonzero(m[:, c])
         rows = rows[rows != r]
         if rows.size:
             m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
-    return m, r, pivots, order[:r]
+    return m, r, pivots, order[:r], d if r == nrows else 0
 
 
-def _kernel(m: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel of a working array mod p from one
-    Gauss-Jordan elimination: one int64 row per free column, in
-    increasing order, the identity on the free columns (not RREF)."""
-    red, rank, pivots, _ = _rref(m, p)
+def pivot_kernel_fp(mat, p: int):
+    """One Gauss-Jordan elimination of one matrix M over F_p.
+
+    Returns (d, pivots, kernel): d = det M[:, pivots] when the rows of M
+    are independent and 0 otherwise, the greedy pivot columns, and the
+    right kernel basis that is the identity on the free columns (one int64
+    row per free column, in increasing order; not RREF).  The input is
+    not modified.
+    """
+    m = field_array(mat, p)
+    red, rank, pivots, _, d = _rref(m, p)
     free = np.setdiff1d(np.arange(m.shape[1]), pivots)
     basis = np.eye(m.shape[1], dtype=np.int64)[free]
     basis[:, pivots] = -red[:rank, free].T % p
-    return basis
+    return d, pivots, basis
 
 
 def rref_fp(mat, p: int):
@@ -211,102 +221,7 @@ def rank_fp(mat, p: int) -> int:
 def kernel_fp(mat, p: int) -> np.ndarray:
     """RREF-canonical basis of the right kernel, one int64 row per basis
     vector."""
-    return _rref(_kernel(field_array(mat, p), p), p)[0]
-
-
-def pivot_kernels_fp(stack, p: int) -> list:
-    """One forward elimination over F_p with delayed reduction, run on a
-    stack of equally shaped matrices at once.
-
-    Returns, per matrix M of the stack, (d, pivots, kernel): d =
-    det M[:, pivots] when the rows of M are independent and 0 otherwise,
-    the greedy pivot columns, and the right kernel basis that is the
-    identity on the free columns (one int64 row per free column, in
-    increasing order).  Column c is reduced mod p only when it becomes the
-    pivot column and a row only when it becomes the pivot row; the trailing
-    block is updated without ``% p``, and only in the rows with a nonzero
-    entry in the pivot column (in some member of the stack), so its
-    entries stay below min(nrows, ncols) * (p-1)^2 + p in absolute value.
-    The matrices share every numpy step while their pivot columns agree;
-    a column that is a pivot for some of them and free for the others
-    splits the stack.  The pivots of a column are inverted as one batch
-    (:func:`_inverse_fp`).
-    On a stack of square matrices each d is the determinant, so the
-    pencil's chart walk evaluates the 6 x 6 unit minors of a chart at all
-    of its nodes with one call.
-    """
-    shape = np.shape(stack)
-    if len(shape) != 3:
-        raise ValueError("expected a stack of matrices")
-    if min(shape[1:]) * (p - 1) ** 2 + p >= 2 ** 63:
-        raise ValueError("elimination too large for int64 delayed reduction")
-    m = to_fp_matrix(stack, p)
-    batch, nrows, ncols = m.shape
-    out: list = [None] * batch
-    # each group: members, their working arrays, next column, pivot
-    # columns so far, determinant so far, pivot inverses so far
-    groups = [(np.arange(batch), m, 0, [], np.ones(batch, dtype=np.int64), [])]
-    while groups:
-        members, m, c0, pivots, d, inverses = groups.pop()
-        r = len(pivots)
-        for c in range(c0, ncols):
-            if r == nrows:
-                break
-            m[:, r:, c] %= p
-            nonzero = m[:, r:, c] != 0
-            has = nonzero.any(axis=1)
-            if not has.all():
-                if not has.any():
-                    continue
-                rest = ~has
-                groups.append((members[rest], m[rest], c + 1, list(pivots),
-                               d[rest], [inv[rest] for inv in inverses]))
-                members, m, d, nonzero = (members[has], m[has], d[has],
-                                          nonzero[has])
-                inverses = [inv[has] for inv in inverses]
-            lead = nonzero.argmax(axis=1)
-            swap = lead.nonzero()[0]
-            if swap.size:
-                lead = r + lead[swap]
-                top = m[swap, lead]
-                m[swap, lead] = m[swap, r]
-                m[swap, r] = top
-                d[swap] = -d[swap]
-            m[:, r, c:] %= p
-            piv = m[:, r, c]
-            d = d * piv % p
-            inverses.append(np.array(_inverse_fp(piv.tolist(), p),
-                                     dtype=np.int64))
-            factors = m[:, r + 1:, c] * inverses[-1][:, None] % p
-            # rows with a zero factor in every member keep their entries;
-            # a slice is cheaper than a gather when every row moves
-            rows = np.flatnonzero(factors.any(axis=0))
-            if rows.size == factors.shape[1]:
-                m[:, r + 1:, c + 1:] -= (factors[:, :, None]
-                                         * m[:, r, None, c + 1:])
-            elif rows.size:
-                m[:, r + 1 + rows, c + 1:] -= (factors[:, rows, None]
-                                               * m[:, r, None, c + 1:])
-            pivots.append(c)
-            r += 1
-        is_pivot = set(pivots)
-        free = [c for c in range(ncols) if c not in is_pivot]
-        kernel = np.zeros((len(members), len(free), ncols), dtype=np.int64)
-        if free:
-            # back substitution for the free columns only; entries of a row
-            # left of its pivot are never read, free-column ones are 0 mod p
-            upper = m[:, :r, pivots]
-            sol = -(m[:, :r, free] % p)
-            for i in range(r - 1, -1, -1):
-                tail = upper[:, i, None, i + 1:] @ sol[:, i + 1:]
-                acc = sol[:, i] - tail[:, 0]
-                sol[:, i] = acc % p * inverses[i][:, None] % p
-            kernel[:, range(len(free)), free] = 1
-            kernel[:, :, pivots] = sol.transpose(0, 2, 1)
-        for k, member in enumerate(members):
-            out[member] = (int(d[k]) if r == nrows else 0, list(pivots),
-                           kernel[k])
-    return out
+    return _rref(pivot_kernel_fp(mat, p)[2], p)[0]
 
 
 def shuffle_sign(cols) -> int:
@@ -314,7 +229,7 @@ def shuffle_sign(cols) -> int:
     counted from 0: the sign of the permutation that moves them to the
     front, in order.
 
-    For a full-row-rank M with (d, pivots, K) from :func:`pivot_kernels_fp`
+    For a full-row-rank M with (d, pivots, K) from :func:`pivot_kernel_fp`
     and free columns F, the minor dropping any |F| columns S is
     det M[:, S^c] = eps(S) * eps(F) * d * det K[:, S] (complementary
     minors of a row space and its annihilator).  The same holds for any
@@ -325,14 +240,40 @@ def shuffle_sign(cols) -> int:
 
 
 def det_fp(mat, p: int) -> int:
-    """Determinant mod p of one 2-D matrix: the square case of
-    :func:`pivot_kernels_fp`.  A 6 x 6 call is almost all per-call numpy
-    overhead, so many small determinants go to :func:`pivot_kernels_fp`
-    as one stack instead."""
+    """Determinant mod p of one 2-D matrix, the d of its Gauss-Jordan
+    elimination.  A 6 x 6 call is almost all per-call numpy overhead, so
+    many small determinants go to :func:`dets_fp` as one stack instead."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("determinant of a non-square matrix")
-    return pivot_kernels_fp(mat[None], p)[0][0]
+    return _rref(field_array(mat, p), p)[4]
+
+
+def dets_fp(stack, p: int) -> list:
+    """Determinants mod p of a stack of square matrices, from one forward
+    elimination that every member runs in step.
+
+    Rows are swapped per member (a gather); a member with no nonzero entry
+    left in the pivot column has determinant 0 and goes on with pivot
+    inverse 1, which leaves its rows as they are.  The pivots of a column
+    are inverted as one batch (:func:`_inverse_fp`).
+    """
+    m = to_fp_matrix(stack, p)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    batch, n, _ = m.shape
+    members = np.arange(batch)
+    d = np.ones(batch, dtype=np.int64)
+    for c in range(n):
+        lead = c + (m[:, c:, c] != 0).argmax(axis=1)
+        m[members, c], m[members, lead] = m[members, lead], m[members, c]
+        piv = m[:, c, c]
+        d = np.where(lead == c, d, -d) * piv % p
+        inverse = np.array(_inverse_fp(np.where(piv, piv, 1).tolist(), p))
+        factors = m[:, c + 1:, c] * inverse[:, None] % p
+        m[:, c + 1:, c + 1:] = (m[:, c + 1:, c + 1:] - factors[:, :, None]
+                                * m[:, c, None, c + 1:]) % p
+    return d.tolist()
 
 
 def charpoly_fp(mat, p: int) -> list:
@@ -396,7 +337,7 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
     the perps block by block as a reference.
     """
     prod = matmul_fp(to_fp_matrix(constraint, p), basis.T, p)
-    return matmul_fp(_kernel(prod, p), basis, p)
+    return matmul_fp(pivot_kernel_fp(prod, p)[2], basis, p)
 
 
 # -- rational path: one p-adic solver --------------------------------------
@@ -649,7 +590,7 @@ def _solve(m: np.ndarray, right: bool = False, shaped: bool = True):
     for p in _solver_primes():
         mp = (m % p).astype(np.int64)
         work = mp[:, ::-1].copy() if right else mp.copy()
-        _, rank, pivots, rows = _rref(work, p)
+        _, rank, pivots, rows, _ = _rref(work, p)
         if right:
             pivots = sorted(ncols - 1 - c for c in pivots)
         is_pivot = set(pivots)
@@ -716,7 +657,8 @@ def kernel_q(mat):
 
 def _free_kernel_q(mat):
     """The kernel basis over Q that is the identity on the free columns of
-    the left-greedy pivots (the basis :func:`_kernel` gives mod p)."""
+    the left-greedy pivots (the basis :func:`pivot_kernel_fp` gives mod
+    p)."""
     m = integer_rows(mat)
     _, pivots, free, d, w = _solve(m)
     return _kernel_rows(m.shape[1], pivots, free, d, w.tolist())

@@ -426,7 +426,7 @@ def test_perp_mod_p_matches_the_block_chain():
         for d in (4, 5, 6, 7):
             chain = None
             for block in hilbert._product_blocks(d, slices):
-                chain = linalg._kernel(linalg.field_array(block, P), P) \
+                chain = linalg.pivot_kernel_fp(block, P)[2] \
                     if chain is None else \
                     linalg.restrict_kernel(chain, block, P)
                 if chain.shape[0] == 0:
@@ -600,25 +600,33 @@ def test_pencil_report_eliminates_the_fixed_rows_once(monkeypatch):
     # 16 x 32 linearization, and the only 120 x 120 determinants left are
     # the spot checks, one per prime
     shapes = []
-    orig_det, orig_pivot = linalg.det_fp, linalg.pivot_kernels_fp
+    orig_det, orig_pivot = linalg.det_fp, linalg.pivot_kernel_fp
+    orig_dets = linalg.dets_fp
 
     def det_counted(mat, p):
         shapes.append(("det", np.shape(mat)))
         return orig_det(mat, p)
 
-    def pivot_counted(stack, p):
-        shapes.append(("pivot", np.shape(stack)))
-        return orig_pivot(stack, p)
+    def pivot_counted(mat, p):
+        shapes.append(("pivot", np.shape(mat)))
+        return orig_pivot(mat, p)
+
+    def dets_counted(stack, p):
+        shapes.append(("dets", np.shape(stack)))
+        return orig_dets(stack, p)
 
     monkeypatch.setattr(linalg, "det_fp", det_counted)
-    monkeypatch.setattr(linalg, "pivot_kernels_fp", pivot_counted)
+    monkeypatch.setattr(linalg, "pivot_kernel_fp", pivot_counted)
+    monkeypatch.setattr(linalg, "dets_fp", dets_counted)
     pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
     assert shapes.count(("det", (120, 120))) == 3
-    # (det_fp runs the square stacks of one; the units are square stacks)
-    pivots = [shape for kind, shape in shapes
-              if kind == "pivot" and shape[1] != shape[2]]
-    assert pivots.count((1, 105, 126)) == 3
-    assert set(pivots) == {(1, 105, 126), (1, 6, 21), (1, 16, 32)}
+    # (12, 21) and (18, 42) are pencil_family's two kernel_fp calls
+    pivots = [shape for kind, shape in shapes if kind == "pivot"]
+    assert pivots.count((105, 126)) == 3
+    assert set(pivots) == {(105, 126), (6, 21), (16, 32), (12, 21), (18, 42)}
+    # the only stacked calls: the chart units, square 6 x 6 at every node
+    stacks = {shape for kind, shape in shapes if kind == "dets"}
+    assert stacks and all(len(s) == 3 and s[1:] == (6, 6) for s in stacks)
 
 
 def test_pencil_report_reads_no_minor_through_det_fp(monkeypatch):
@@ -757,15 +765,15 @@ def test_spot_check_catches_a_wrong_chart_polynomial(monkeypatch, wrong):
     # Either way the spot check must raise
     chart = (0, 0, 0, 0, 0, 3)
     if wrong == "shift-determinant":
-        orig = linalg.pivot_kernels_fp
+        orig = linalg.pivot_kernel_fp
 
-        def perturbed(stack, p):
-            out = orig(stack, p)
-            if np.shape(stack)[2] == 2 * np.shape(stack)[1] > 12:
-                out = [((d + 1) % p, pivots, kern) for d, pivots, kern in out]
-            return out
+        def perturbed(mat, p):
+            d, pivots, kern = orig(mat, p)
+            if np.shape(mat)[1] == 2 * np.shape(mat)[0] > 12:
+                d = (d + 1) % p
+            return d, pivots, kern
 
-        monkeypatch.setattr(linalg, "pivot_kernels_fp", perturbed)
+        monkeypatch.setattr(linalg, "pivot_kernel_fp", perturbed)
     else:
         orig_char, orig_chart = linalg.charpoly_fp, hilbert._default_chart
 

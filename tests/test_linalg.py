@@ -282,11 +282,15 @@ def test_det_rejects_non_square():
         det_bareiss([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         linalg.det_fp([[1, 2, 3], [4, 5, 6]], P)
+    with pytest.raises(ValueError, match="stack of square"):
+        linalg.dets_fp([[[1, 2, 3], [4, 5, 6]]], P)
+    with pytest.raises(ValueError, match="stack of square"):
+        linalg.dets_fp([[1, 2], [3, 4]], P)
 
 
 # square integer matrices up to 24 x 24 with entries up to +-P; a repeated
-# row makes some singular.  P is the largest prime below 2^26, so the
-# delayed reduction runs close to its word-size bound.
+# row makes some singular.  P is the largest prime below 2^26, so every
+# product of the elimination runs close to the word size.
 word_size_squares = st.integers(1, 24).flatmap(
     lambda n: st.tuples(
         st.lists(st.lists(st.integers(-P, P), min_size=n, max_size=n),
@@ -301,16 +305,7 @@ def test_det_fp_matches_bareiss_at_word_size(case):
     if repeat:
         m[i] = list(m[j])
     assert linalg.det_fp(m, P) == det_bareiss(m) % P
-
-
-def test_delayed_reduction_guard():
-    # 2049 * (P - 1)^2 + P passes 2^63; the guard runs before any
-    # conversion or elimination, so a small-dtype zeros matrix is enough
-    big = np.zeros((2049, 2049), dtype=np.int8)
-    with pytest.raises(ValueError, match="delayed reduction"):
-        linalg.pivot_kernels_fp(big[None], P)
-    with pytest.raises(ValueError, match="delayed reduction"):
-        linalg.det_fp(big, P)
+    assert linalg.dets_fp([m, m], P) == [det_bareiss(m) % P] * 2
 
 
 @pytest.mark.parametrize("rows,extra", [(1, 1), (2, 3), (3, 2), (4, 3), (5, 1)])
@@ -323,7 +318,7 @@ def test_complementary_minors_from_the_pivot_kernel(rows, extra):
                     for _ in range(rows)], dtype=np.int64)
     # a zero column forces a free column that is not at the end
     mat[:, rng.randrange(rows)] = 0
-    ((d, pivots, kern),) = linalg.pivot_kernels_fp(mat[None], P)
+    d, pivots, kern = linalg.pivot_kernel_fp(mat, P)
     free = [c for c in range(ncols) if c not in pivots]
     assert len(pivots) == rows and d != 0
     assert not linalg.matmul_fp(mat, kern.T, P).any()
@@ -335,9 +330,35 @@ def test_complementary_minors_from_the_pivot_kernel(rows, extra):
         assert linalg.det_fp(mat[:, keep], P) == identity
 
 
-def test_pivot_kernels_of_a_stack_match_each_matrix_alone():
-    # zero columns and repeated rows make the members' pivot columns
-    # differ, which splits the stack part way through
+def test_dets_of_a_stack_match_each_matrix_alone():
+    # members that lose their pivot at columns 0, 1, 2 and 4, and members
+    # that need a row swap, run in step with the others
+    rng = random.Random(5)
+    stack = np.array([[[rng.randrange(P) for _ in range(5)] for _ in range(5)]
+                      for _ in range(7)], dtype=np.int64)
+    stack[1, :, 0] = 0
+    stack[2, :, 1] = 3 * stack[2, :, 0]
+    stack[3, :, 2] = stack[3, :, 0] + stack[3, :, 1]
+    stack[4, 4] = stack[4, 0] - stack[4, 2]
+    stack[5, 0, 0] = 0
+    stack[6, 1, :2] = 2 * stack[6, 0, :2]
+    together = linalg.dets_fp(stack, P)
+    lost = []
+    for mat, d in zip(stack, together):
+        assert d == linalg.det_fp(mat, P) == det_bareiss(mat.tolist()) % P
+        d1, pivots, kern = linalg.pivot_kernel_fp(mat, P)
+        assert d1 == d
+        assert not linalg.matmul_fp(mat, kern.T, P).any()
+        lost.append(min(set(range(5)) - set(pivots), default=None))
+    assert [bool(d) for d in together] == [True, False, False, False, False,
+                                           True, True]
+    assert lost == [None, 0, 1, 2, 4, None, None]
+    assert linalg.dets_fp(np.zeros((0, 3, 3), dtype=np.int64), P) == []
+    assert linalg.dets_fp(np.zeros((2, 0, 0), dtype=np.int64), P) == [1, 1]
+
+
+def test_pivot_kernels_of_rectangular_matrices():
+    # zero columns and repeated rows make the pivot columns differ
     rng = random.Random(5)
     stack = np.array([[[rng.randrange(P) for _ in range(7)] for _ in range(4)]
                       for _ in range(6)], dtype=np.int64)
@@ -345,42 +366,40 @@ def test_pivot_kernels_of_a_stack_match_each_matrix_alone():
     stack[2, :, 3] = 0
     stack[3, 2] = stack[3, 0]
     stack[4, :, :2] = 0
-    together = linalg.pivot_kernels_fp(stack, P)
-    for mat, (d, pivots, kern) in zip(stack, together):
-        ((d1, pivots1, kern1),) = linalg.pivot_kernels_fp(mat[None], P)
-        assert (d, pivots) == (d1, pivots1)
-        assert np.array_equal(kern, kern1)
+    found = [linalg.pivot_kernel_fp(mat, P) for mat in stack]
+    for mat, (d, pivots, kern) in zip(stack, found):
         assert not linalg.matmul_fp(mat, kern.T, P).any()
         if d:
             assert d == det_bareiss(mat[:, pivots].tolist()) % P
-    assert [len(pivots) for _, pivots, _ in together] == [4, 4, 4, 3, 4, 4]
-    assert together[1][1][0] == 1 and together[4][1][0] == 2
+    assert [len(pivots) for _, pivots, _ in found] == [4, 4, 4, 3, 4, 4]
+    assert found[1][1][0] == 1 and found[4][1][0] == 2
 
 
 @pytest.mark.parametrize("density", [0.05, 0.15, 0.4])
 def test_pivot_kernels_of_sparse_matrices(density):
     # most rows below a pivot have a zero factor and are left as they are;
     # determinants still match Bareiss, kernels still annihilate, and a
-    # stack still matches each member alone
+    # stack of the leading square blocks still matches each member alone
     rng = random.Random(int(density * 100))
     for n, extra in [(8, 0), (20, 0), (30, 5), (12, 9)]:
         stack = np.array([[[rng.randrange(1, P) if rng.random() < density
                             else 0 for _ in range(n + extra)]
                            for _ in range(n)] for _ in range(3)],
                          dtype=np.int64)
-        together = linalg.pivot_kernels_fp(stack, P)
-        for mat, (d, pivots, kern) in zip(stack, together):
+        for mat in stack:
+            d, pivots, kern = linalg.pivot_kernel_fp(mat, P)
             assert not linalg.matmul_fp(mat, kern.T, P).any()
             assert d == (det_bareiss(mat[:, pivots].tolist()) % P
                          if len(pivots) == n else 0)
-            ((d1, pivots1, kern1),) = linalg.pivot_kernels_fp(mat[None], P)
-            assert (d, pivots) == (d1, pivots1)
-            assert np.array_equal(kern, kern1)
+        squares = stack[:, :, :n]
+        assert linalg.dets_fp(squares, P) == \
+            [linalg.det_fp(mat, P) for mat in squares] == \
+            [det_bareiss(mat.tolist()) % P for mat in squares]
 
 
 def test_pivot_kernel_of_a_rank_deficient_matrix():
     mat = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 5]], dtype=np.int64)
-    ((d, pivots, kern),) = linalg.pivot_kernels_fp(mat[None], P)
+    d, pivots, kern = linalg.pivot_kernel_fp(mat, P)
     assert d == 0
     assert pivots == [0, 1]
     assert kern.shape == (2, 4)
