@@ -674,7 +674,8 @@ def _chart_minor(data: _PencilData, dropped, p: int) -> list[int]:
     d_y, pivots, basis = linalg.pivot_kernel_fp(data.kernel[:, dropped].T, p)
     if not d_y:
         return []
-    rest = np.setdiff1d(np.arange(data.kernel.shape[0]), pivots)
+    rest = np.ones(data.kernel.shape[0], dtype=bool)
+    rest[pivots] = False
     n0, n1, n2 = ((nk[:, rest] + linalg.matmul_fp(
         nk[:, pivots], basis[:, pivots].T, p)) % p for nk in data.schur)
     r, quad = len(n0), data.quadratic

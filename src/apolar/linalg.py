@@ -22,9 +22,12 @@ the kernel basis it gives is zero, over all rows; with the rank mod p as
 the lower bound that proves the rank, and an echelon-shape check proves
 the pivots.  An unlucky prime fails a check and the next one is taken.
 
-The Gauss-Jordan body reduces mod p at every step, and it also returns
-d = det M[:, pivots] for independent rows, the signed product of the
-pivots; :func:`det_fp` reads it, tested against an integer Bareiss
+The Gauss-Jordan body reduces mod p at every step (word-size prime
+fields, Dumas-Giorgi-Pernet 2008): it jumps over runs of columns that
+are empty below the current row with one scan, and updates only the rows
+with a nonzero factor, in place on their gathered block.  It also
+returns d = det M[:, pivots] for independent rows, the signed product of
+the pivots; :func:`det_fp` reads it, tested against an integer Bareiss
 reference in the tests.  :func:`pivot_kernel_fp` adds the kernel that is
 the identity on the free columns, which gives every maximal minor
 through the complementary-minor identity (see :func:`shuffle_sign`).
@@ -43,9 +46,10 @@ Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
 their basis matrices.  Inside, a kernel mod p is the basis that is the
 identity on the free columns, from one elimination
-(:func:`pivot_kernel_fp`); a basis is reduced to RREF once, where it is
-published (:func:`kernel_fp`, ``hilbert.square_perp_basis``).  Over Q
-the solver's right-greedy pivots make the kernel basis RREF as it comes.
+(:func:`pivot_kernel_fp`).  In both fields a published kernel
+(:func:`kernel_fp`, :func:`kernel_q`) takes right-greedy pivots, which
+make that basis RREF as it comes; ``hilbert.square_perp_basis`` reduces
+its basis to RREF once, where it is published.
 """
 
 from __future__ import annotations
@@ -153,38 +157,49 @@ def field_array(mat, p: int) -> np.ndarray:
 def _rref(m: np.ndarray, p: int):
     """Gauss-Jordan elimination of a working array mod p, in place.
 
-    Only the rows with a nonzero entry in the pivot column are updated.
     Returns (reduced array, rank, pivot column list, pivot rows, d): the
     pivot rows are the input rows each pivot was taken from, in pivot
     order, so they are independent and the input restricted to them and
     the pivot columns is invertible mod p.  d = det M[:, pivots] when the
     rows of M are independent, and 0 otherwise: the product of the pivots
     before each row is normalized, its sign flipped at each row swap.
+
+    A run of columns with nothing left at or below the current row is
+    jumped over by one scan of the remaining block.  The factors of a
+    pivot come from one copy of its column, and only the rows with a
+    nonzero factor are updated, in place on their gathered block.
     """
     nrows, ncols = m.shape
     pivots: list[int] = []
     order = list(range(nrows))
-    r, d = 0, 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(m[r:, c])
+    r, c, d = 0, 0, 1
+    while r < nrows and c < ncols:
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
+            live = m[r:, c + 1:].any(axis=0).nonzero()[0]
+            if live.size == 0:
+                break
+            c += 1 + int(live[0])
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
             order[r], order[i] = order[i], order[r]
             d = -d
-        pivot = int(m[r, c])
+        f = m[:, c].copy()
+        pivot = int(f[r])
         d = d * pivot % p
-        m[r, c:] = m[r, c:] * pow(pivot, p - 2, p) % p
-        rows = np.flatnonzero(m[:, c])
-        rows = rows[rows != r]
+        prow = m[r, c:] * pow(pivot, p - 2, p) % p
+        m[r, c:] = prow
+        f[r] = 0
+        rows = f.nonzero()[0]
         if rows.size:
-            m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[r, c:])) % p
+            blk = m[rows, c:]
+            blk -= np.multiply.outer(f[rows], prow)
+            np.remainder(blk, p, out=blk)
+            m[rows, c:] = blk
         pivots.append(c)
-        r += 1
+        r, c = r + 1, c + 1
     return m, r, pivots, order[:r], d if r == nrows else 0
 
 
@@ -199,7 +214,8 @@ def pivot_kernel_fp(mat, p: int):
     """
     m = field_array(mat, p)
     red, rank, pivots, _, d = _rref(m, p)
-    free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+    free = np.ones(m.shape[1], dtype=bool)
+    free[pivots] = False
     basis = np.eye(m.shape[1], dtype=np.int64)[free]
     basis[:, pivots] = -red[:rank, free].T % p
     return d, pivots, basis
@@ -220,8 +236,14 @@ def rank_fp(mat, p: int) -> int:
 
 def kernel_fp(mat, p: int) -> np.ndarray:
     """RREF-canonical basis of the right kernel, one int64 row per basis
-    vector."""
-    return _rref(pivot_kernel_fp(mat, p)[2], p)[0]
+    vector.
+
+    It is the free-column kernel of the column-reversed matrix, reversed
+    back: its pivots are the right-greedy pivots of M, and the kernel
+    basis that is the identity on their free columns is already RREF
+    (matroid duality, as in :func:`kernel_q`), so no second elimination
+    runs."""
+    return pivot_kernel_fp(np.atleast_2d(mat)[:, ::-1], p)[2][::-1, ::-1]
 
 
 def shuffle_sign(cols) -> int:

@@ -1,7 +1,8 @@
 """Plain Fraction Gauss-Jordan elimination: the test reference of the
-rational solver (``linalg.rref_q``, ``kernel_q`` and ``rank_q``), and
+rational solver (``linalg.rref_q``, ``kernel_q`` and ``rank_q``);
 integer Bareiss elimination (:func:`det_bareiss`), the reference of
-``linalg.det_fp``.
+``linalg.det_fp``; and the column-by-column modular Gauss-Jordan body
+(:func:`rref_fp_reference`), the reference of ``linalg._rref``.
 
 Rows are lists; a 1-D input is one row, as in the package.  Every entry is
 converted with ``Fraction(x)``, so the reference accepts ints, numpy
@@ -91,3 +92,40 @@ def det_bareiss(mat):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def rref_fp_reference(m: np.ndarray, p: int):
+    """Gauss-Jordan elimination of an int64 array of residues mod p, in
+    place, one column at a time: the body ``linalg._rref`` had before it
+    jumped over empty columns and updated the gathered rows in place.
+
+    Returns (reduced array, rank, pivot column list, pivot rows, d), the
+    five values of ``linalg._rref``: the pivot rows are the input rows
+    each pivot was taken from, in pivot order, and d = det M[:, pivots]
+    when the rows of M are independent, 0 otherwise.
+    """
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    order = list(range(nrows))
+    r, d = 0, 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            order[r], order[i] = order[i], order[r]
+            d = -d
+        pivot = int(m[r, c])
+        d = d * pivot % p
+        m[r, c:] = m[r, c:] * pow(pivot, p - 2, p) % p
+        rows = np.flatnonzero(m[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return m, r, pivots, order[:r], d if r == nrows else 0

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apolar import linalg
 from fraction_reference import (
     det_bareiss,
     free_kernel_reference,
     kernel_reference,
+    rref_fp_reference,
     rref_reference,
 )
 
@@ -405,6 +406,71 @@ def test_pivot_kernel_of_a_rank_deficient_matrix():
     assert kern.shape == (2, 4)
     assert not linalg.matmul_fp(mat, kern.T, P).any()
     assert linalg.det_fp(mat[:, :3], P) == 0
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(p, M) at a small prime or at one near 2^26: tall, wide and square
+    shapes up to 12 x 12, sparse or dense, with a run of empty columns,
+    columns that are multiples of earlier ones (empty below the rows
+    already eliminated) and rows that combine earlier ones."""
+    p = draw(st.sampled_from([SMALL_P, P]))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    mat = np.array([[rng.randrange(1, p) if rng.random() < density else 0
+                     for _ in range(ncols)] for _ in range(nrows)],
+                   dtype=np.int64).reshape(nrows, ncols)
+    if ncols:
+        start = draw(st.integers(0, ncols - 1))
+        mat[:, start:draw(st.integers(start, ncols))] = 0
+    for j in draw(st.lists(st.integers(1, max(ncols - 1, 1)), max_size=3)):
+        if j < ncols:
+            mat[:, j] = mat[:, rng.randrange(j)] * rng.randrange(p) % p
+    for i in draw(st.lists(st.integers(1, max(nrows - 1, 1)), max_size=3)):
+        if i < nrows:
+            mat[i] = (mat[rng.randrange(i)] * rng.randrange(p)
+                      + mat[rng.randrange(i)] * rng.randrange(p)) % p
+    return p, mat
+
+
+_EMPTY_SHAPES = [(q, np.zeros(shape, dtype=np.int64)) for q in (SMALL_P, P)
+                 for shape in [(0, 5), (4, 0), (0, 0)]]
+
+
+def _with_empty_shapes(test):
+    for case in _EMPTY_SHAPES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+@_with_empty_shapes
+def test_rref_matches_the_column_by_column_reference(case):
+    # all five values: reduced array, rank, pivots, pivot rows and d
+    p, mat = case
+    got = linalg._rref(mat.copy(), p)
+    want = rref_fp_reference(mat.copy(), p)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+@_with_empty_shapes
+def test_kernel_fp_is_the_rref_of_the_free_column_kernel(case):
+    # one elimination of the column-reversed matrix gives the RREF basis
+    # that a second elimination of the free-column kernel used to give
+    p, mat = case
+    kern = linalg.kernel_fp(mat, p)
+    want = rref_fp_reference(linalg.pivot_kernel_fp(mat, p)[2], p)[0]
+    assert kern.shape == want.shape == (mat.shape[1] - linalg.rank_fp(mat, p),
+                                        mat.shape[1])
+    assert np.array_equal(kern, want)
+    red, rank, _ = linalg.rref_fp(kern, p)
+    assert rank == len(kern) and np.array_equal(red, kern)
+    assert not linalg.matmul_fp(mat, kern.T, p).any()
 
 
 charpoly_cases = st.tuples(st.sampled_from([SMALL_P, P]),
