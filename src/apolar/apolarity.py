@@ -175,17 +175,6 @@ def _le_offsets(n_vars: int, dmax: int) -> tuple[tuple[int, ...], int]:
     return tuple(offs), total
 
 
-def _le_vector(f: Poly, dmax: int) -> list[Scalar]:
-    """Coefficients of a polynomial of degree <= dmax on the concatenated
-    canonical monomial lists of degrees 0..dmax."""
-    offs, total = _le_offsets(f.n, dmax)
-    vec: list[Scalar] = [0] * total
-    for expo, coeff in f.terms.items():
-        d = sum(expo)
-        vec[offs[d] + monomial_index(f.n, d)[expo]] = coeff
-    return vec
-
-
 def _contraction_matrix(f: Poly, max_op_degree: int, p: int | None = None):
     """Matrix of sigma -> sigma ∘ f for a polynomial f of degree <= 3.
 
@@ -217,34 +206,34 @@ def apolar_length(f: Poly, p: int | None = None) -> int:
     return linalg.rank(mat[np.flatnonzero(mat.any(axis=1))], p)
 
 
-def dual_socle_generator(quadrics: list[Poly], n_vars: int = 6,
-                         p: int | None = None) -> Poly:
+def dual_socle_generator(quadrics: list[Poly], p: int | None = None) -> Poly:
     """The cubic annihilated by all the given quadric operators, when it is
     unique up to scalar.
 
     Args:
-        quadrics: degree-2 S-ring forms (typically 15 of them).
-        n_vars: ambient variable count.
+        quadrics: degree-2 S-ring forms (typically 15 of them), at least
+            one, all in the cubic's number of variables.
 
     Returns:
         The generator, normalized to leading coefficient 1 in graded-lex
         order.
 
     Raises:
-        ValueError: when the common perp in degree 3 is not 1-dimensional
-            (degenerate input collections are the caller's cue to resample).
+        ValueError: for empty, mixed or non-S input, and when the common
+            perp in degree 3 is not 1-dimensional (degenerate input
+            collections are the caller's cue to resample).
     """
-    for q in quadrics:
-        if q.ring != "S" or q.is_zero() or q.degree() != 2 or q.n != n_vars:
-            raise ValueError("dual_socle_generator expects S-ring quadrics")
+    if not quadrics or any(q.ring != "S" or q.is_zero() or q.degree() != 2
+                           or q.n != quadrics[0].n for q in quadrics):
+        raise ValueError("dual_socle_generator expects S-ring quadrics")
+    n = quadrics[0].n
     qs = np.array([coefficient_vector(q, 2) for q in quadrics], dtype=object)
-    rows = _products(qs, None, 2, 1, n_vars).reshape(
-        -1, dim_degree(n_vars, 3))
+    rows = _products(qs, None, 2, 1, n).reshape(-1, dim_degree(n, 3))
     kern = linalg.kernel(rows, p)
     if len(kern) != 1:
         raise ValueError(
             "common cubic perp has dimension %d, expected 1" % len(kern))
-    return poly_from_vector(kern[0], "P", n_vars, 3)
+    return poly_from_vector(kern[0], "P", n, 3)
 
 
 @dataclass
@@ -261,9 +250,9 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
 
     The generators are the shift a_i -> a_i + w_i applied to a basis of the
     annihilator of f in operator degrees <= 4 (which generates the whole
-    annihilator for degree-3 f): the kernel basis of one elimination, a
-    generating set rather than a canonical basis.  The length is
-    translation invariant.
+    annihilator for degree-3 f): the RREF basis of the left kernel of the
+    contraction matrix (:func:`linalg.kernel`), the same generators in
+    both fields.  The length is translation invariant.
     """
     if f.ring != "P":
         raise ValueError("translated_apolar acts on the P ring")
@@ -272,8 +261,7 @@ def translated_apolar(f: Poly, w, p: int | None = None) -> TranslatedApolar:
         raise ValueError("support point has wrong length")
     mat = _contraction_matrix(f, 4, p)
     # operator-coefficient combinations live in the left kernel
-    kern = linalg._free_kernel_q(mat.T) if p is None else \
-        linalg.pivot_kernel_fp(mat.T, p)[2].tolist()
+    kern = linalg.kernel(mat.T, p)
     gens = []
     offs, _ = _le_offsets(f.n, 4)
     for vec in kern:

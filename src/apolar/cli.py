@@ -73,12 +73,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub, field_default="fp"):
-    sub.add_argument("--field", choices=["fp", "q"], default=field_default,
+def _add_field(sub, default):
+    sub.add_argument("--field", choices=["fp", "q"], default=default,
                      help="prime-field pipeline with cross-checks, or exact "
                           "rationals (default %(default)s)")
+
+
+def _add_primes(sub):
     sub.add_argument("--primes", type=_positive_int, default=3, metavar="N",
                      help="number of random working primes (default 3)")
+
+
+def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for primes and sampling (default 0)")
     sub.add_argument("--json", metavar="PATH",
@@ -96,6 +102,8 @@ def _build_parser() -> _Parser:
     p_an = subs.add_parser("analyze",
                            help="tangent-space report for one cubic")
     p_an.add_argument("cubic", help="cubic form, e.g. 'x0*x1*x3 - x0^2*x4'")
+    _add_field(p_an, "fp")
+    _add_primes(p_an)
     _add_common(p_an)
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -106,6 +114,7 @@ def _build_parser() -> _Parser:
                        "(the fiber at parameter 0)")
     p_pen.add_argument("--chart", help="chart cubic monomial, e.g. 'x5^3' "
                        "(default: first usable chart)")
+    _add_primes(p_pen)
     _add_common(p_pen)
     p_pen.set_defaults(func=_cmd_pencil)
 
@@ -117,7 +126,8 @@ def _build_parser() -> _Parser:
     p_con.add_argument("--input", metavar="SEXTIC",
                        help="ternary sextic in x0,x1,x2 for 'dvap' "
                             "(default: random from the seed)")
-    _add_common(p_con, field_default="q")
+    _add_field(p_con, "q")
+    _add_common(p_con)
     p_con.set_defaults(func=_cmd_construct)
 
     p_fam = subs.add_parser("family",
@@ -128,7 +138,8 @@ def _build_parser() -> _Parser:
     p_fam.add_argument("--samples", default="0,1,2,3,4", metavar="T0,T1,...",
                        help="comma-separated integer parameter values "
                             "(default %(default)s)")
-    _add_common(p_fam, field_default="q")
+    _add_field(p_fam, "q")
+    _add_common(p_fam)
     p_fam.set_defaults(func=_cmd_family)
     return parser
 
@@ -160,9 +171,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_pencil(args) -> int:
     f1 = parse_poly(args.f1, "P", _N_VARS)
     f2 = parse_poly(args.f2, "P", _N_VARS)
-    if args.field == "q":
-        raise UsageError("pencil profiles are computed over prime fields; "
-                         "use --field fp")
     chart = parse_poly(args.chart, "P", _N_VARS) if args.chart else None
     t0 = time.monotonic()
     report = hilbert.pencil_report(f1, f2, chart, n_primes=args.primes,
@@ -223,7 +231,7 @@ def _cmd_construct(args) -> int:
         payload["identification"] = [list(q) for q in
                                      constructions.dvap_identification()]
     else:
-        cubic = constructions.sum_of_cubes(_N_VARS)
+        cubic = constructions.sum_of_cubes()
     payload["cubic"] = format_poly(cubic)
     if p is not None:
         payload["prime"] = p

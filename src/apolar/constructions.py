@@ -106,7 +106,7 @@ def gr26_section_cubic(seed: int = 0, p: int | None = None) -> SectionSample:
             continue
         subbed = [poly_from_vector(row, "S", 6, 2) for row in rows]
         try:
-            F = dual_socle_generator(subbed, 6, p)
+            F = dual_socle_generator(subbed, p)
         except ValueError:
             continue
         if not is_nondegenerate_cubic(F, p):
@@ -137,14 +137,14 @@ def waring_sum(n_points: int, seed: int = 0,
     raise ValueError("no nondegenerate sum of %d cubes found" % n_points)
 
 
-def sum_of_cubes(n_vars: int = 6) -> Poly:
-    """x_0^3 + ... + x_{n-1}^3."""
+def sum_of_cubes() -> Poly:
+    """x_0^3 + ... + x_5^3."""
     terms = {}
-    for i in range(n_vars):
-        e = [0] * n_vars
+    for i in range(6):
+        e = [0] * 6
         e[i] = 3
         terms[tuple(e)] = 1
-    return Poly("P", n_vars, terms)
+    return Poly("P", 6, terms)
 
 
 # the six output variables name the quadratic exponents in three
@@ -193,12 +193,13 @@ def random_ternary_sextic(seed: int = 0, p: int | None = None) -> Poly:
             return G
 
 
-def random_cubic(seed: int = 0, p: int | None = None, n_vars: int = 6) -> Poly:
-    """Random nondegenerate cubic form (dense, reproducible)."""
-    rng = seeded_rng(seed, "cubic:%d" % n_vars)
+def random_cubic(seed: int = 0, p: int | None = None) -> Poly:
+    """Random nondegenerate cubic form in x0..x5 (dense, reproducible:
+    drawn from the seed's "cubic:6" stream)."""
+    rng = seeded_rng(seed, "cubic:6")
     for _ in range(_ATTEMPTS):
-        terms = {e: _coeff(rng, p) for e in monomials(n_vars, 3)}
-        F = Poly("P", n_vars, terms)
+        terms = {e: _coeff(rng, p) for e in monomials(6, 3)}
+        F = Poly("P", 6, terms)
         if is_nondegenerate_cubic(F, p):
             return F
     raise ValueError("could not sample a nondegenerate cubic")

@@ -19,8 +19,7 @@ Conventions used throughout:
   is why 6 is the floor and why chart minors drop six columns at a time;
 * every product matrix here (the product blocks, the 120 x 126 matrix of
   :func:`ev_product_matrix`, the pencil's M(u)) comes from the one product
-  scatter ``apolarity._products``, and the contraction modules from
-  ``apolarity._contraction_matrix``.
+  scatter ``apolarity._products``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from . import linalg
 from .linalg import seeded_rng
 from .apolarity import (
-    _contraction_matrix,
     _products,
     ann_degree,
     catalecticant,
@@ -57,17 +55,9 @@ VERDICT_BOUNDARY = "SmoothableBoundary"
 VERDICT_DEGENERATE = "Degenerate"
 
 
-def _primes_below_2_26():
-    q = (1 << 26) - 1
-    while True:
-        if is_prime(q):
-            yield q
-        q -= 2
-
-
 # first candidate prime for one-sided certificates on the rational path:
 # full rank mod p proves full rank over Q, never the other way round
-_CERT_PRIME = next(_primes_below_2_26())
+_CERT_PRIME = next(linalg._solver_primes())
 
 
 def _reduces_mod(q: int, forms) -> bool:
@@ -78,14 +68,15 @@ def _reduces_mod(q: int, forms) -> bool:
 
 
 def _cert_prime(F: Poly) -> int:
-    """The first prime below 2^26 (``_CERT_PRIME`` unless F forbids it) at
-    which F reduces to a nondegenerate cubic.
+    """The first prime of the fixed stream :func:`linalg._solver_primes`
+    (``_CERT_PRIME`` unless F forbids it) at which F reduces to a
+    nondegenerate cubic.
 
     The certificates are sound only where the Hilbert function does not
     drop under reduction, which for a cubic is exactly nondegeneracy mod q;
     a prime dividing a denominator of F has no reduction at all.
     """
-    for q in _primes_below_2_26():
+    for q in linalg._solver_primes():
         if _reduces_mod(q, [F]) and is_nondegenerate_cubic(F, q):
             return q
 
@@ -242,11 +233,11 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
     span of the x_j (dp-times) v over the rows v of the degree-(d - 1)
     perp; that needs d and the multiplicities m_j + 1 <= d of
     :func:`_witness_rows` invertible mod p.  The search space is that
-    span in RREF, or all of P_4 in degree 4; an empty perp gives an empty
-    space one degree up.  The space is paired once with the product
-    blocks (:func:`_pairings`), the kernel of the pairings picks the perp
-    out of it, and the result is reduced to RREF once, where it is
-    published.
+    span in RREF, or all of P_4 in degree 4; an empty perp one degree down
+    gives the empty perp at once, with no elimination.  The space is
+    paired once with the product blocks (:func:`_pairings`), the kernel
+    of the pairings picks the perp out of it, and the result is reduced
+    to RREF once, where it is published.
     """
     if d not in slices.perps:
         n, p, dim_d = F.n, slices.p, dim_degree(F.n, d)
@@ -254,10 +245,12 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
             space = np.eye(dim_d, dtype=np.int64)
         else:
             prev = _perp_fp(F, d - 1, slices)
-            rows = np.array(prev.rows, dtype=np.int64).reshape(prev.dim,
-                                                               prev.ncols)
+            if not prev.dim:
+                slices.perps[d] = linalg.SubspaceBasis("P", d, n, dim_d, p, [])
+                return slices.perps[d]
             red, rank, _ = linalg.rref_fp(
-                _witness_rows(rows, n, d - 1).reshape(-1, dim_d), p)
+                _witness_rows(np.array(prev.rows, dtype=np.int64), n, d - 1)
+                .reshape(-1, dim_d), p)
             space = red[:rank]
         kern = linalg.pivot_kernel_fp(_pairings(space, d, slices), p)[2]
         slices.perps[d] = linalg.SubspaceBasis(
@@ -333,13 +326,6 @@ def perp4_dim(F: Poly, p: int | None = None) -> int:
     """Dimension of the degree-4 perp of the squared ideal (6 generically,
     larger exactly on the divisor E)."""
     return square_perp_basis(F, 4, p).dim
-
-
-def member_E(F: Poly, p: int | None = None) -> bool:
-    """Whether F lies on the divisor of cubics with excess tangent space
-    (equivalently, whose apolar scheme lies in the closure of the locus
-    met by the smoothable boundary)."""
-    return perp4_dim(F, p) > 6
 
 
 def ev_product_matrix(quadric_basis: list[Poly], F: Poly, p: int | None = None):
@@ -458,21 +444,6 @@ def analyze(F: Poly, primes: list[int] | None = None, n_primes: int = 3,
         verdict = VERDICT_BOUNDARY
     return AnalysisReport(tuple(hf), dim2, perps, tangent, on_e, verdict,
                           "q" if field_kind == "q" else "fp", used)
-
-
-def fiber_equivalence(F3: Poly, Q: Poly, Q2: Poly, p: int | None = None) -> bool:
-    """Whether F3 + Q and F3 + Q2 generate the same contraction module.
-
-    True exactly when Q - Q2 is a linear combination of the six first-order
-    contractions of F3, i.e. when the two affine cubics define the same
-    point of the fiber over the leading form.
-    """
-    for q in (Q, Q2):
-        if q.ring != "P" or (not q.is_zero() and q.degree() > 2):
-            raise ValueError("expected P-side forms of degree at most 2")
-    (ra, rka, _), (rb, rkb, _) = (
-        linalg.rref(_contraction_matrix(F3 + q, 3, p), p) for q in (Q, Q2))
-    return ra[:rka] == rb[:rkb]
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ arrays, the ``_q`` ones lists of Fraction rows.  Both fields take one
 input contract: ints (Python or numpy) and Fractions, anything else is a
 TypeError.
 
-Over Q, :func:`rref_q`, :func:`kernel_q` and :func:`rank_q` are entry
-points into one p-adic solver (Dixon 1982).  Each row is scaled to
+Over Q, :func:`rref_q`, :func:`kernel_q` and :func:`rank_q` are the three
+entry points into one p-adic solver (Dixon 1982).  Each row is scaled to
 integers; the pivot columns and independent pivot rows come from one
 elimination mod a prime, and X = M[R, P]^-1 M[R, F] is lifted p-adically
 in 26-bit limbs, with vector rational reconstruction (Wang 1981, one
@@ -21,6 +21,10 @@ result leaves the solver only after an exact integer check that M times
 the kernel basis it gives is zero, over all rows; with the rank mod p as
 the lower bound that proves the rank, and an echelon-shape check proves
 the pivots.  An unlucky prime fails a check and the next one is taken.
+Its primes come from the one fixed stream of primes below 2^26, largest
+first (:func:`_solver_primes`), which also gives ``hilbert``'s
+certificate primes; working primes are drawn at random
+(:func:`random_prime`).
 
 The Gauss-Jordan body reduces mod p at every step (word-size prime
 fields, Dumas-Giorgi-Pernet 2008): it jumps over runs of columns that
@@ -364,8 +368,9 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
 
 # -- rational path: one p-adic solver --------------------------------------
 
-# primes the solver tries in turn, then every prime below the last one; an
-# unlucky prime is caught by the exact checks and the next one is taken
+# the one fixed prime stream (also hilbert's certificate primes): the four
+# largest primes below 2^26, then every prime below; the solver takes them
+# in turn, an unlucky prime is caught by the exact checks
 _Q_PRIMES = (67108859, 67108837, 67108819, 67108777)
 _LIMB = 26  # limb width, the bit size of the residues mod p < 2^26
 _MASK = (1 << _LIMB) - 1
@@ -677,15 +682,6 @@ def kernel_q(mat):
     return _kernel_rows(m.shape[1], pivots, free, d, w.tolist())
 
 
-def _free_kernel_q(mat):
-    """The kernel basis over Q that is the identity on the free columns of
-    the left-greedy pivots (the basis :func:`pivot_kernel_fp` gives mod
-    p)."""
-    m = integer_rows(mat)
-    _, pivots, free, d, w = _solve(m)
-    return _kernel_rows(m.shape[1], pivots, free, d, w.tolist())
-
-
 # -- one field switch -------------------------------------------------------
 
 
@@ -950,10 +946,11 @@ def roots_fp(coeffs: list, p: int, rng: random.Random | None = None) -> dict[int
     return out
 
 
-def random_prime(rng: random.Random, lo: int = 1 << 25, hi: int = _MAX_PRIME) -> int:
-    """Uniform-ish random prime in [lo, hi), sized for int64-exact matmul."""
+def random_prime(rng: random.Random) -> int:
+    """Uniform-ish random prime in [2^25, 2^26), sized for int64-exact
+    matmul."""
     while True:
-        cand = rng.randrange(lo | 1, hi, 2)
+        cand = rng.randrange((1 << 25) | 1, _MAX_PRIME, 2)
         if is_prime(cand):
             return cand
 

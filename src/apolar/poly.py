@@ -487,16 +487,6 @@ def substitute_shift(sigma: Poly, w: Iterable[Scalar]) -> Poly:
     return Poly("S", sigma.n, out)
 
 
-def graded_parts(f: Poly) -> list[Poly]:
-    """Split by total degree, lowest first, top-degree form last."""
-    if not f.terms:
-        return []
-    buckets: dict[int, dict] = {}
-    for expo, coeff in f.terms.items():
-        buckets.setdefault(sum(expo), {})[expo] = coeff
-    return [Poly(f.ring, f.n, buckets[d]) for d in sorted(buckets)]
-
-
 def change_of_basis(F: Poly, g) -> Poly:
     """Apply an invertible linear change of variables to a P polynomial.
 

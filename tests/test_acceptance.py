@@ -33,9 +33,8 @@ from apolar.hilbert import (
     analyze,
     draw_primes,
     ev_product_matrix,
-    fiber_equivalence,
-    member_E,
     pencil_profile,
+    perp4_dim,
 )
 from apolar.poly import (
     Poly,
@@ -49,6 +48,7 @@ from apolar.poly import (
     poly_from_vector,
     substitute_shift,
 )
+from support import fiber_equivalence, le_vector
 
 P1 = 67108859
 P2 = 67108837
@@ -103,9 +103,7 @@ def _ann_quadrics_q(F):
 
 
 def _slice_span(gens):
-    from apolar.apolarity import _le_vector
-
-    return linalg.span([_le_vector(g, 4) for g in gens], "S", 4, 6, 210, P1)
+    return linalg.span([le_vector(g, 4) for g in gens], "S", 4, 6, 210, P1)
 
 
 def test_criterion_01_fixture_values():
@@ -181,7 +179,7 @@ def test_criterion_04_grassmannian_sections():
 
 
 def _member_two_primes(F):
-    a, b = member_E(F, P1), member_E(F, P2)
+    a, b = perp4_dim(F, P1) > 6, perp4_dim(F, P2) > 6
     assert a == b
     return a
 

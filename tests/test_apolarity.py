@@ -9,7 +9,6 @@ import pytest
 from apolar import linalg
 from apolar.apolarity import (
     _contraction_matrix,
-    _le_vector,
     _products,
     ann_degree,
     apolar_length,
@@ -22,13 +21,12 @@ from apolar.apolarity import (
     translated_apolar,
 )
 from apolar.constructions import fiber_point, random_cubic, sum_of_cubes
-from fraction_reference import free_kernel_reference
+from fraction_reference import kernel_reference
 from apolar.poly import (
     Poly,
     coefficient_vector,
     contract,
     dim_degree,
-    graded_parts,
     monomial_index,
     monomials,
     mul_s,
@@ -37,6 +35,7 @@ from apolar.poly import (
     poly_from_vector,
     substitute_shift,
 )
+from support import graded_parts, le_vector
 
 P = 67108859
 
@@ -109,7 +108,7 @@ def test_contraction_matrix_rows_are_contractions(max_op_degree, p):
     F3, Q = fiber_point(seed=1)
     f = F3 + Q
     ops = [e for r in range(max_op_degree + 1) for e in monomials(6, r)]
-    want = [_le_vector(contract(Poly.monomial("S", 6, e), f), 3)
+    want = [le_vector(contract(Poly.monomial("S", 6, e), f), 3)
             for e in ops]
     mat = _contraction_matrix(f, max_op_degree, p)
     assert mat.shape == (len(ops), 84)
@@ -203,7 +202,7 @@ def test_dual_socle_generator_inverts_annihilator():
     for p in (P, None):
         A = ann_degree(F, 2, p)
         qs = [poly_from_vector(list(row), "S", 6, 2) for row in A.rows]
-        G = dual_socle_generator(qs, 6, p)
+        G = dual_socle_generator(qs, p)
         # unique up to scalar; both are normalized forms of the same line
         catF = coefficient_vector(F, 3)
         catG = coefficient_vector(G, 3)
@@ -212,9 +211,16 @@ def test_dual_socle_generator_inverts_annihilator():
 
 
 def test_dual_socle_generator_degenerate_input():
-    qs = [Poly.monomial("S", 6, e) for e in list(monomials(6, 2))[:3]]
-    with pytest.raises(ValueError):
-        dual_socle_generator(qs, 6, P)
+    qs = [Poly.monomial("S", 6, e) for e in monomials(6, 2)]
+    with pytest.raises(ValueError, match="dimension"):
+        dual_socle_generator(qs[:3], P)
+    # empty, mixed or non-S input: the variable count comes from the
+    # quadrics, so every one of them must be an S-ring quadric in it
+    for bad in ([], qs[:14] + [Poly.monomial("S", 5, (2, 0, 0, 0, 0))],
+                qs[:14] + [Poly.monomial("P", 6, (2, 0, 0, 0, 0, 0))],
+                qs[:14] + [Poly.monomial("S", 6, (3, 0, 0, 0, 0, 0))]):
+        with pytest.raises(ValueError, match="expects S-ring quadrics"):
+            dual_socle_generator(bad, P)
 
 
 def test_translated_apolar_length_invariant():
@@ -241,7 +247,7 @@ def test_translated_apolar_length_is_apolar_length(p):
 
 def _slice_span(gens):
     # span mod P of operators of degree <= 4; Fractions reduce mod P
-    return linalg.span([_le_vector(g, 4) for g in gens], "S", 4, 6, 210, P)
+    return linalg.span([le_vector(g, 4) for g in gens], "S", 4, 6, 210, P)
 
 
 def test_translated_apolar_round_trip():
@@ -265,17 +271,33 @@ def test_translated_apolar_over_q_reduces_to_mod_p():
     assert _slice_span(exact.generators) == _slice_span(modular.generators)
 
 
-def test_translated_apolar_over_q_keeps_its_generator_list(monkeypatch):
-    # the generators come from the free-column kernel basis of one
-    # elimination; the p-adic solver must give exactly the basis that
-    # Fraction Gauss-Jordan elimination gives
+def _shifted_operators(rows, w):
+    # kernel rows in the contraction matrix's operator coordinates
+    # (degrees 0..4), shifted to w as translated_apolar shifts them
+    ops = [e for r in range(5) for e in monomials(6, r)]
+    return [substitute_shift(Poly("S", 6, {e: c for e, c in zip(ops, row)
+                                           if c}), w) for row in rows]
+
+
+def test_translated_apolar_over_q_keeps_its_generator_list():
+    # the generators are the RREF basis of the left kernel: the p-adic
+    # solver must give exactly the basis that Fraction Gauss-Jordan
+    # elimination gives
     F3, Q = fiber_point(seed=2)
     f, w = F3 + Q, (1, 0, 2, 0, 0, 3)
     solved = translated_apolar(f, w)
-    monkeypatch.setattr(linalg, "_free_kernel_q", free_kernel_reference)
-    reference = translated_apolar(f, w)
-    assert solved.generators == reference.generators
-    assert solved.length == reference.length == 14
+    reference = kernel_reference(_contraction_matrix(f, 4).T)
+    assert solved.generators == _shifted_operators(reference, w)
+    assert solved.length == 210 - len(reference) == 14
+
+
+def test_translated_apolar_generators_mod_p_are_the_rref_kernel():
+    F3, Q = fiber_point(seed=2, p=P)
+    f, w = F3 + Q, (1, 0, 2, 0, 0, 3)
+    kern = linalg.kernel_fp(_contraction_matrix(f, 4, P).T, P).tolist()
+    ta = translated_apolar(f, w, P)
+    assert ta.generators == _shifted_operators(kern, w)
+    assert ta.length == 210 - len(kern) == 14
 
 
 def test_translated_apolar_generators_kill_translated_data():

@@ -152,10 +152,25 @@ def test_pencil_fixture(capsys, tmp_path):
 
 
 def test_pencil_rejects_rational_field(capsys):
+    # pencils run over prime fields only, so pencil has no --field flag
     code, _, err = _run(capsys, "pencil", "--f1", "x0^3", "--f2", "x1^3",
                         "--field", "q")
     assert code == 64
-    assert "prime" in err
+    assert "unrecognized arguments: --field q" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("construct", "sum-cubes", "--primes", "2"), "--primes 2"),
+    (("family", "t*x1", "--primes", "2"), "--primes 2"),
+    (("pencil", "--f1", FIXTURE, "--f2", "x5^3", "--field", "fp"),
+     "--field fp"),
+], ids=["construct-primes", "family-primes", "pencil-field"])
+def test_flags_a_subcommand_does_not_take_are_usage_errors(capsys, argv,
+                                                           flag):
+    code, out, err = _run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "unrecognized arguments: %s" % flag in err
 
 
 def test_pencil_identical_endpoints(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,8 +25,6 @@ from apolar.hilbert import (
     analyze,
     draw_primes,
     ev_product_matrix,
-    fiber_equivalence,
-    member_E,
     pencil_family,
     pencil_profile,
     pencil_report,
@@ -44,6 +43,7 @@ from apolar.poly import (
     parse_poly,
     poly_from_vector,
 )
+from support import fiber_equivalence
 
 P = 67108859
 
@@ -107,14 +107,41 @@ def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
     assert perp_dimensions(random_cubic(0)) == {4: 6, 5: 0, 6: 0, 7: 0}
     q = hilbert._CERT_PRIME
     # one rational perp and one certificate-prime perp per degree; each
-    # certificate-prime perp pairs its search space once, and the rational
-    # degree-4 certificate pairs the six witnesses once
+    # certificate-prime perp pairs its search space once (perp_5 is 0, so
+    # degrees 6 and 7 have none), and the rational degree-4 certificate
+    # pairs the six witnesses once
     assert [args[:2] for args in calls["square_perp_basis"]] == \
         [(d, r) for d in (4, 5, 6, 7) for r in (None, q)]
     assert [(d, s.p) for d, s in calls["_pairings"]] == \
-        [(4, q), (4, None), (5, q), (6, q), (7, q)]
+        [(4, q), (4, None), (5, q)]
     assert calls["is_nondegenerate_cubic"] == [(None,), (q,)]
     assert calls["ann_degree"] == [(2, q), (2, None), (3, q)]
+
+
+def test_certificate_primes_follow_the_solver_stream():
+    # scaling F by 1 / (product of the first k primes) puts each of them
+    # in a denominator, so the certificate prime is the (k + 1)-th
+    stream = list(itertools.islice(linalg._solver_primes(), 20))
+    assert hilbert._CERT_PRIME == stream[0]
+    F, skipped = _fixture(), 1
+    for q in stream:
+        assert hilbert._cert_prime(F.scale(Fraction(1, skipped))) == q
+        skipped *= q
+
+
+def test_modular_perps_eliminate_no_matrix_without_columns(monkeypatch):
+    # perp_5 of random_cubic(0) is 0, so the degree-6 and degree-7 perps
+    # are empty at once, with no (4915, 0) or (10710, 0) pairing matrix
+    shapes = []
+    orig = linalg._rref
+
+    def recorded(m, p):
+        shapes.append(m.shape)
+        return orig(m, p)
+
+    monkeypatch.setattr(linalg, "_rref", recorded)
+    assert perp_dimensions(random_cubic(0), P) == {4: 6, 5: 0, 6: 0, 7: 0}
+    assert shapes and all(ncols for _, ncols in shapes)
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -293,8 +320,7 @@ def test_tangent_dimension_rejects_cones():
 
 
 def test_member_E():
-    assert not member_E(_fixture(), P)
-    assert member_E(sum_of_cubes(), P)
+    # F lies on E exactly when its degree-4 perp exceeds 6
     assert perp4_dim(_fixture(), P) == 6
     assert perp4_dim(sum_of_cubes(), P) == 36
 
@@ -831,7 +857,7 @@ def test_pencil_of_two_generic_cubics_misses_zero():
     determinant multiplicity 9 (the square minor drops rank by 9 there)."""
     F1 = random_cubic(seed=21, p=P)
     F2 = random_cubic(seed=22, p=P)
-    assert not member_E(F1, P) and not member_E(F2, P)
+    assert perp4_dim(F1, P) == perp4_dim(F2, P) == 6
     out = pencil_report(F1, F2, n_primes=2, seed=1)
     assert out["total_degree"] == 9 * 10
     assert out["multiplicity_at_zero"] == 0

@@ -14,7 +14,6 @@ from apolar.poly import (
     dim_degree,
     dp_mul,
     format_poly,
-    graded_parts,
     is_prime,
     monomial_index,
     monomials,
@@ -27,6 +26,7 @@ from apolar.poly import (
     waring_cube,
     waring_power,
 )
+from support import graded_parts
 
 
 def _x(i, n=6):
