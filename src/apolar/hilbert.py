@@ -236,8 +236,8 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
     span in RREF, or all of P_4 in degree 4; an empty perp one degree down
     gives the empty perp at once, with no elimination.  The space is
     paired once with the product blocks (:func:`_pairings`), the kernel
-    of the pairings picks the perp out of it, and the result is reduced
-    to RREF once, where it is published.
+    of the pairings (:func:`_pairing_kernel`) picks the perp out of it,
+    and the result is reduced to RREF once, where it is published.
     """
     if d not in slices.perps:
         n, p, dim_d = F.n, slices.p, dim_degree(F.n, d)
@@ -252,11 +252,30 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
                 _witness_rows(np.array(prev.rows, dtype=np.int64), n, d - 1)
                 .reshape(-1, dim_d), p)
             space = red[:rank]
-        kern = linalg.pivot_kernel_fp(_pairings(space, d, slices), p)[2]
+        kern = _pairing_kernel(_pairings(space, d, slices), p)
         slices.perps[d] = linalg.SubspaceBasis(
             "P", d, n, dim_d, p,
             linalg.rref_fp(linalg.matmul_fp(kern, space, p), p)[0].tolist())
     return slices.perps[d]
+
+
+def _pairing_kernel(pairs: np.ndarray, p: int) -> np.ndarray:
+    """A basis of the right kernel of a reduced pairing matrix mod p (not
+    RREF), cut in row chunks.
+
+    With k columns, the rank is full after about k independent rows, so
+    after the zero rows are dropped the first k rows are eliminated whole
+    and the next 2k, 4k, ... rows only cut the kernel left so far
+    (:func:`linalg.restrict_kernel`), until it is empty or the rows run
+    out."""
+    pairs = pairs[pairs.any(axis=1)]
+    k = pairs.shape[1]
+    kern = linalg.pivot_kernel_fp(pairs[:k], p)[2]
+    start, size = k, 2 * k
+    while len(kern) and start < len(pairs):
+        kern = linalg.restrict_kernel(kern, pairs[start:start + size], p)
+        start, size = start + size, 2 * size
+    return kern
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
@@ -272,21 +291,27 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
 
 
 def _pairings(vecs: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
-    """The pairing <x y, v> of every product x y of the product blocks of
-    degree d (see :func:`_product_blocks`) with every row v of ``vecs``,
-    mod p, or exactly over Q for integer ``vecs``: one row per product,
-    one column per v.
+    """The pairing <x y, v> of every distinct product x y of the product
+    blocks of degree d (see :func:`_product_blocks`) with every row v of
+    ``vecs``, mod p, or exactly over Q for integer ``vecs``: one row per
+    distinct product, one column per v.
 
     <x y, v> = x . C_v . y, with C_v the catalecticant gather of v, so no
-    product block is formed."""
+    product block is formed.  For a = b the products x_i x_j and x_j x_i
+    coincide, so only i <= j is kept, in the row order of
+    :func:`ev_product_matrix`."""
     n, p = slices.F.n, slices.p
     out = []
     for a, b in _degree_pairs(d):
         pair = _matmul(slices(a), vecs[:, shift_table(n, a, b)], p)
         if b <= 3:  # above the cubic's degree, I_b is all of S_b
             pair = _matmul(pair, slices(b).T, p)
-        # an explicit width, so an empty search space reshapes too
-        out.append(pair.reshape(len(vecs), pair.shape[1] * pair.shape[2]))
+        if a == b:
+            upper = np.triu_indices(pair.shape[1])
+            out.append(pair[:, upper[0], upper[1]])
+        else:
+            # an explicit width, so an empty search space reshapes too
+            out.append(pair.reshape(len(vecs), pair.shape[1] * pair.shape[2]))
     return np.hstack(out).T
 
 

@@ -355,12 +355,9 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
     Returns an unreduced basis of the intersection: the combinations of
     the rows of ``basis`` that the free-column kernel of
     constraint · basis^T picks out.  Lets large kernels be cut down block
-    by block without ever forming the full stacked constraint matrix.
-
-    No function of the package calls it any more (the squared-ideal perps
-    pair one search space with all blocks at once); it stays because the
-    benchmark tracer binds it by name, and the tests use it to rebuild
-    the perps block by block as a reference.
+    by block without ever eliminating the full stacked constraint matrix:
+    the squared-ideal perps cut the kernel of their pairing matrix chunk
+    by chunk with it (``hilbert._pairing_kernel``).
     """
     prod = matmul_fp(to_fp_matrix(constraint, p), basis.T, p)
     return matmul_fp(pivot_kernel_fp(prod, p)[2], basis, p)

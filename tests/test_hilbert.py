@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apolar import hilbert, linalg
 from apolar.apolarity import ann_degree
@@ -277,6 +277,24 @@ def test_rational_analysis_is_gl6_equivariant(make, perp4):
     assert a.perp_dims[4] == perp4 and a.on_E == (perp4 > 6)
 
 
+def _integer_gl6(rng):
+    while True:
+        g = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
+        if linalg.det_fp(g, P):  # nonzero mod P, so nonzero over Q
+            return g
+
+
+@pytest.mark.parametrize("make", [lambda: random_cubic(0), sum_of_cubes],
+                         ids=["random", "cubes"])
+def test_rational_perps_are_gl6_invariant_over_several_g(make):
+    # the rational perps run the certificate-prime perps and, for
+    # sum_of_cubes, the exact degree-5 kernel
+    F, rng = make(), random.Random(6)
+    dims = perp_dimensions(F)
+    for _ in range(3):
+        assert perp_dimensions(change_of_basis(F, _integer_gl6(rng))) == dims
+
+
 small_gl6 = st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6),
                      min_size=6, max_size=6).filter(
     lambda g: linalg.det_fp(g, P) != 0)
@@ -459,6 +477,110 @@ def test_perp_mod_p_matches_the_block_chain():
                     break
             assert square_perp_basis(F, d, P, slices).rows == \
                 linalg.rref_fp(chain, P)[0].tolist()
+
+
+@pytest.mark.parametrize("make", [lambda: random_cubic(0), sum_of_cubes,
+                                  lambda: waring_sum(9, 0)[0]],
+                         ids=["random", "cubes", "waring9"])
+def test_degree4_pairings_are_the_ev_product_matrix(make):
+    # paired with all of P_4, the distinct products of the I_2 rows are
+    # the 120 x 126 product matrix, in its row order
+    F = make()
+    qs = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2, P).rows]
+    pairs = hilbert._pairings(np.eye(126, dtype=np.int64), 4,
+                              hilbert._checked_slices(F, P))
+    assert pairs.shape == (120, 126)
+    assert pairs.tolist() == ev_product_matrix(qs, F, P).tolist()
+
+
+@st.composite
+def _pairing_matrices(draw):
+    """A reduced matrix mod p whose rows are zero rows, copies of earlier
+    rows or combinations of a few base rows, so its first chunk may be
+    rank deficient and its kernel may empty anywhere or never."""
+    p = draw(st.sampled_from([7, P]))
+    ncols = draw(st.integers(1, 5))
+    residue = st.integers(0, p - 1)
+    base = draw(st.lists(st.lists(residue, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=ncols + 1))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "combo"]),
+                              max_size=9 * ncols)):
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "copy" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            coeffs = draw(st.lists(residue, min_size=len(base),
+                                   max_size=len(base)))
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) % p
+                         for j in range(ncols)])
+    return p, np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
+def _rref_rows(basis, p):
+    return linalg.rref_fp(basis, p)[0].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairing_matrices())
+@example((7, np.zeros((9, 3), dtype=np.int64)))
+@example((P, np.zeros((0, 4), dtype=np.int64)))
+@example((P, np.array([[1, 2, 3, 4], [0, 1, 1, 0]], dtype=np.int64)))
+@example((7, np.array([[3], [0], [5]], dtype=np.int64)))
+def test_pairing_kernel_spans_the_kernel_of_the_whole_matrix(case):
+    p, mat = case
+    assert _rref_rows(hilbert._pairing_kernel(mat, p), p) == \
+        _rref_rows(linalg.pivot_kernel_fp(mat, p)[2], p)
+
+
+@pytest.mark.parametrize("rows,cuts,dim", [
+    # zero rows dropped, then a first chunk of rank 1 (duplicates); the
+    # next 2k = 6 rows empty the kernel, and the ten after them are not read
+    ([[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0],
+      [2, 3, 4], [1, 1, 0], [0, 0, 1], [5, 6, 1], [1, 0, 0]]
+     + [[1, 2, 3]] * 10, [6], 0),
+    # rank 2 throughout: chunks of 6 rows and of the 6 left, and the
+    # kernel never empties
+    ([[1, 2, 0], [2, 4, 0], [0, 0, 1]] * 5, [6, 6], 1),
+    # the all-zero matrix: its kernel is the whole space
+    ([[0, 0, 0]] * 7, [], 3),
+], ids=["empties-mid-way", "never-empties", "all-zero"])
+def test_pairing_kernel_cuts_in_doubling_chunks(monkeypatch, rows, cuts, dim):
+    seen = []
+    orig = linalg.restrict_kernel
+
+    def recorded(basis, constraint, p):
+        seen.append(len(constraint))
+        return orig(basis, constraint, p)
+
+    monkeypatch.setattr(linalg, "restrict_kernel", recorded)
+    mat = np.array(rows, dtype=np.int64)
+    kern = hilbert._pairing_kernel(mat, P)
+    assert len(kern) == dim and seen == cuts
+    assert _rref_rows(kern, P) == \
+        _rref_rows(linalg.pivot_kernel_fp(mat, P)[2], P)
+
+
+@pytest.mark.parametrize("make,kernel_rows", [
+    (lambda: waring_sum(9, 0)[0], 75), (lambda: random_cubic(0), 21)],
+    ids=["waring9", "random"])
+def test_modular_perps_never_eliminate_a_whole_degree5_pairing(
+        monkeypatch, make, kernel_rows):
+    # the degree-5 pairing has 825 rows over a search space of 75 or 21
+    # vectors; only its first chunk of that many rows is eliminated whole,
+    # and degree 4 eliminates the 120 distinct products once
+    shapes = []
+    orig = linalg._rref
+
+    def recorded(m, p):
+        shapes.append(m.shape)
+        return orig(m, p)
+
+    monkeypatch.setattr(linalg, "_rref", recorded)
+    perp_dimensions(make(), P)
+    assert (120, 126) in shapes and (kernel_rows, kernel_rows) in shapes
+    assert all(nrows != 825 for nrows, _ in shapes)
 
 
 @pytest.mark.parametrize("p", [2, 5, 7])
