@@ -203,15 +203,3 @@ def random_cubic(seed: int = 0, p: int | None = None) -> Poly:
         if is_nondegenerate_cubic(F, p):
             return F
     raise ValueError("could not sample a nondegenerate cubic")
-
-
-def fiber_point(seed: int = 0, p: int | None = None) -> tuple[Poly, Poly]:
-    """A random nondegenerate leading cubic together with a quadratic
-    tail, i.e. a point of the fiber over the leading form."""
-    F3 = random_cubic(seed, p)
-    rng = seeded_rng(seed, "tail")
-    while True:
-        terms = {e: _coeff(rng, p) for e in monomials(6, 2)}
-        Q = Poly("P", 6, terms)
-        if not Q.is_zero():
-            return F3, Q

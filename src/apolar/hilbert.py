@@ -205,11 +205,11 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     function mod q); reduction can only enlarge a perp, so that bound
     holds over Q.  A zero bound is then the rational answer.  In degree 4
     a bound of 6 is met by the six vectors x_i (dp-times) F, checked
-    exactly to lie in the perp (their integer :func:`_pairings` with the
-    products of the I_2 rows vanish) and to be independent, so their span
-    is the perp.  Otherwise the stacked product blocks, built from the
-    slices scaled to integer rows, go to the p-adic solver
-    :func:`linalg.kernel_q`.
+    exactly to lie in the perp (their integer pairings with the distinct
+    products of the I_2 rows, :func:`_pair_rows`, vanish) and to be
+    independent, so their span is the perp.  Otherwise the stacked
+    product blocks, built from the slices scaled to integer rows, go to
+    the p-adic solver :func:`linalg.kernel_q`.
 
     Raises ValueError for a degree outside 4..7, p <= 7, a modulus that is
     not prime, or a degenerate cubic.
@@ -234,10 +234,8 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
     perp; that needs d and the multiplicities m_j + 1 <= d of
     :func:`_witness_rows` invertible mod p.  The search space is that
     span in RREF, or all of P_4 in degree 4; an empty perp one degree down
-    gives the empty perp at once, with no elimination.  The space is
-    paired once with the product blocks (:func:`_pairings`), the kernel
-    of the pairings (:func:`_pairing_kernel`) picks the perp out of it,
-    and the result is reduced to RREF once, where it is published.
+    gives the empty perp at once.  :func:`_cut_space` cuts the perp out
+    of the space, reduced to RREF once, where it is published.
     """
     if d not in slices.perps:
         n, p, dim_d = F.n, slices.p, dim_degree(F.n, d)
@@ -252,30 +250,33 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
                 _witness_rows(np.array(prev.rows, dtype=np.int64), n, d - 1)
                 .reshape(-1, dim_d), p)
             space = red[:rank]
-        kern = _pairing_kernel(_pairings(space, d, slices), p)
         slices.perps[d] = linalg.SubspaceBasis(
             "P", d, n, dim_d, p,
-            linalg.rref_fp(linalg.matmul_fp(kern, space, p), p)[0].tolist())
+            linalg.rref_fp(_cut_space(space, d, slices), p)[0].tolist())
     return slices.perps[d]
 
 
-def _pairing_kernel(pairs: np.ndarray, p: int) -> np.ndarray:
-    """A basis of the right kernel of a reduced pairing matrix mod p (not
-    RREF), cut in row chunks.
+def _cut_space(space: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
+    """A basis (unreduced) of the vectors in the span of ``space`` (rows
+    mod p) that pair to zero with the product blocks of degree d.
 
-    With k columns, the rank is full after about k independent rows, so
-    after the zero rows are dropped the first k rows are eliminated whole
-    and the next 2k, 4k, ... rows only cut the kernel left so far
-    (:func:`linalg.restrict_kernel`), until it is empty or the rows run
-    out."""
-    pairs = pairs[pairs.any(axis=1)]
-    k = pairs.shape[1]
-    kern = linalg.pivot_kernel_fp(pairs[:k], p)[2]
-    start, size = k, 2 * k
-    while len(kern) and start < len(pairs):
-        kern = linalg.restrict_kernel(kern, pairs[start:start + size], p)
-        start, size = start + size, 2 * size
-    return kern
+    For each degree pair (a, b) the lower-slice rows are read in chunks:
+    ceil(k / n_b) rows first (k vectors left, n_b products per row), then
+    twice as many each time.  A chunk's nonzero pairings with the space
+    left (:func:`_pair_rows`) cut the space to their kernel, until it is
+    empty or the rows run out."""
+    n, p = slices.F.n, slices.p
+    for a, b in _degree_pairs(d):
+        rows = len(slices(a))
+        n_b = dim_degree(n, b) if b > 3 else len(slices(b))
+        start, size = 0, -(-len(space) // n_b)
+        while len(space) and start < rows:
+            stop = min(start + size, rows)
+            pairs = _pair_rows(space, a, b, slices, start, stop)
+            kern = linalg.pivot_kernel_fp(pairs[pairs.any(axis=1)], p)[2]
+            space = linalg.matmul_fp(kern, space, p)
+            start, size = stop, 2 * size
+    return space
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
@@ -290,29 +291,24 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
     return a @ b
 
 
-def _pairings(vecs: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
-    """The pairing <x y, v> of every distinct product x y of the product
-    blocks of degree d (see :func:`_product_blocks`) with every row v of
-    ``vecs``, mod p, or exactly over Q for integer ``vecs``: one row per
-    distinct product, one column per v.
+def _pair_rows(vecs: np.ndarray, a: int, b: int, slices: _Slices,
+               start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The pairing <x y, v> of the products x y of the rows ``start:stop``
+    of the degree-a slice with the degree-b slice (all of S_b above the
+    cubic's degree) with every row v of ``vecs``, mod p, or exactly over Q
+    for integer ``vecs``: one row per distinct product, one column per v.
 
     <x y, v> = x . C_v . y, with C_v the catalecticant gather of v, so no
-    product block is formed.  For a = b the products x_i x_j and x_j x_i
-    coincide, so only i <= j is kept, in the row order of
-    :func:`ev_product_matrix`."""
+    product block is formed.  For a = b, x_i x_j = x_j x_i, so only the
+    slice rows i <= j are kept, in the row order of
+    :func:`ev_product_matrix`; the rows run over x first, then y."""
     n, p = slices.F.n, slices.p
-    out = []
-    for a, b in _degree_pairs(d):
-        pair = _matmul(slices(a), vecs[:, shift_table(n, a, b)], p)
-        if b <= 3:  # above the cubic's degree, I_b is all of S_b
-            pair = _matmul(pair, slices(b).T, p)
-        if a == b:
-            upper = np.triu_indices(pair.shape[1])
-            out.append(pair[:, upper[0], upper[1]])
-        else:
-            # an explicit width, so an empty search space reshapes too
-            out.append(pair.reshape(len(vecs), pair.shape[1] * pair.shape[2]))
-    return np.hstack(out).T
+    lower = slices(a)[start:stop]
+    pair = _matmul(lower, vecs[:, shift_table(n, a, b)], p)
+    if b <= 3:
+        pair = _matmul(pair, slices(b).T, p)
+    first = np.arange(start, start + len(lower))[:, None]
+    return pair[:, (first <= np.arange(pair.shape[2])) | (a != b)].T
 
 
 def _square_perp_basis_q(F, d, slices):
@@ -321,14 +317,14 @@ def _square_perp_basis_q(F, d, slices):
     if mod_dim == 0:
         return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
     if d == 4 and mod_dim == n:
-        # F scaled to integers spans the same witnesses, so their check
-        # against the integer I_2 rows stays in integers; the witness
-        # multiplicities go up to 4
+        # F scaled to integers spans the same witnesses, so their pairings
+        # with the products of the integer I_2 rows, degree 4's one pair
+        # (2, 2), stay in integers; the witness multiplicities go up to 4
         fvec = linalg.integer_rows([coefficient_vector(F, 3)])[0]
         if linalg._bits(fvec) >= 60:
             fvec = fvec.astype(object)
         witness = _witness_rows(fvec, n)
-        if not _pairings(witness, 4, slices).any():
+        if not _pair_rows(witness, 2, 2, slices).any():
             basis = linalg.span(witness, "P", d, n, dim_d)
             if basis.dim == n:
                 return basis

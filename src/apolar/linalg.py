@@ -354,10 +354,9 @@ def restrict_kernel(basis: np.ndarray, constraint: np.ndarray, p: int) -> np.nda
 
     Returns an unreduced basis of the intersection: the combinations of
     the rows of ``basis`` that the free-column kernel of
-    constraint · basis^T picks out.  Lets large kernels be cut down block
-    by block without ever eliminating the full stacked constraint matrix:
-    the squared-ideal perps cut the kernel of their pairing matrix chunk
-    by chunk with it (``hilbert._pairing_kernel``).
+    constraint · basis^T picks out.  No package code calls it; it stays
+    for the benchmark tracer, which binds it by name, and for the
+    block-by-block reference of the squared-ideal perps in the tests.
     """
     prod = matmul_fp(to_fp_matrix(constraint, p), basis.T, p)
     return matmul_fp(pivot_kernel_fp(prod, p)[2], basis, p)

@@ -62,9 +62,13 @@ def free_kernel_reference(mat) -> list[list[Fraction]]:
 
 
 def kernel_reference(mat) -> list[list[Fraction]]:
-    """RREF basis of the right kernel."""
-    basis = free_kernel_reference(mat)
-    return rref_reference(basis)[0] if basis else []
+    """RREF basis of the right kernel, from one elimination of the
+    column-reversed matrix: its free-column basis, with both axes reversed
+    back, is the identity on the free columns of the right-greedy pivots
+    and zero on the other free columns, so it is RREF as it comes."""
+    rows, ncols = _rows(mat)
+    flipped = np.array(rows, dtype=object).reshape(len(rows), ncols)[:, ::-1]
+    return [row[::-1] for row in free_kernel_reference(flipped)[::-1]]
 
 
 def det_bareiss(mat):

@@ -6,14 +6,17 @@ objects, kept out of ``src/`` because no package code calls them.
 * :func:`le_vector` lays a polynomial of degree <= dmax out on the
   concatenated monomial lists of degrees 0..dmax, the coordinates of
   ``apolarity._contraction_matrix`` and of ``translated_apolar``;
-* :func:`graded_parts` splits a polynomial by total degree.
+* :func:`graded_parts` splits a polynomial by total degree;
+* :func:`fiber_point` samples a point of the fiber over a random cubic.
 """
 
 from __future__ import annotations
 
 from apolar import linalg
 from apolar.apolarity import _contraction_matrix, _le_offsets
-from apolar.poly import Poly, monomial_index
+from apolar.constructions import _coeff, random_cubic
+from apolar.linalg import seeded_rng
+from apolar.poly import Poly, monomial_index, monomials
 
 
 def fiber_equivalence(F3: Poly, Q: Poly, Q2: Poly, p: int | None = None) -> bool:
@@ -50,3 +53,15 @@ def graded_parts(f: Poly) -> list[Poly]:
     for expo, coeff in f.terms.items():
         buckets.setdefault(sum(expo), {})[expo] = coeff
     return [Poly(f.ring, f.n, buckets[d]) for d in sorted(buckets)]
+
+
+def fiber_point(seed: int = 0, p: int | None = None) -> tuple[Poly, Poly]:
+    """A random nondegenerate leading cubic together with a quadratic
+    tail, i.e. a point of the fiber over the leading form."""
+    F3 = random_cubic(seed, p)
+    rng = seeded_rng(seed, "tail")
+    while True:
+        terms = {e: _coeff(rng, p) for e in monomials(6, 2)}
+        Q = Poly("P", 6, terms)
+        if not Q.is_zero():
+            return F3, Q

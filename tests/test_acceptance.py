@@ -23,7 +23,6 @@ from apolar.apolarity import (
     translated_apolar,
 )
 from apolar.constructions import (
-    fiber_point,
     gr26_section_cubic,
     random_cubic,
     sum_of_cubes,
@@ -48,7 +47,7 @@ from apolar.poly import (
     poly_from_vector,
     substitute_shift,
 )
-from support import fiber_equivalence, le_vector
+from support import fiber_equivalence, fiber_point, le_vector
 
 P1 = 67108859
 P2 = 67108837

@@ -20,7 +20,7 @@ from apolar.apolarity import (
     shift_table,
     translated_apolar,
 )
-from apolar.constructions import fiber_point, random_cubic, sum_of_cubes
+from apolar.constructions import random_cubic, sum_of_cubes
 from fraction_reference import kernel_reference
 from apolar.poly import (
     Poly,
@@ -35,7 +35,7 @@ from apolar.poly import (
     poly_from_vector,
     substitute_shift,
 )
-from support import graded_parts, le_vector
+from support import fiber_point, graded_parts, le_vector
 
 P = 67108859
 

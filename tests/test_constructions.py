@@ -9,7 +9,6 @@ from apolar.apolarity import apolar_length, hilbert_function, is_nondegenerate_c
 from apolar.constructions import (
     dvap_cubic,
     dvap_identification,
-    fiber_point,
     gr26_section_cubic,
     pluecker_pairs,
     pluecker_quadrics,
@@ -28,6 +27,7 @@ from apolar.poly import (
     waring_cube,
     waring_power,
 )
+from support import fiber_point
 
 P = 67108859
 

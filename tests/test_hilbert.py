@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from apolar import hilbert, linalg
 from apolar.apolarity import ann_degree
 from apolar.constructions import (
-    fiber_point,
     gr26_section_cubic,
     random_cubic,
     sum_of_cubes,
@@ -37,13 +36,14 @@ from apolar.poly import (
     change_of_basis,
     coefficient_vector,
     contract,
+    dim_degree,
     dp_mul,
     monomials,
     mul_s,
     parse_poly,
     poly_from_vector,
 )
-from support import fiber_equivalence
+from support import fiber_equivalence, fiber_point
 
 P = 67108859
 
@@ -95,7 +95,7 @@ def test_rational_perp4_runs_one_certificate_prime_perp(monkeypatch):
 
 def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
     calls = {"square_perp_basis": [], "is_nondegenerate_cubic": [],
-             "ann_degree": [], "_pairings": []}
+             "ann_degree": [], "_pair_rows": []}
     for name, record in calls.items():
         orig = getattr(hilbert, name)
 
@@ -106,14 +106,14 @@ def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
         monkeypatch.setattr(hilbert, name, counted)
     assert perp_dimensions(random_cubic(0)) == {4: 6, 5: 0, 6: 0, 7: 0}
     q = hilbert._CERT_PRIME
-    # one rational perp and one certificate-prime perp per degree; each
-    # certificate-prime perp pairs its search space once (perp_5 is 0, so
-    # degrees 6 and 7 have none), and the rational degree-4 certificate
-    # pairs the six witnesses once
+    # one rational perp and one certificate-prime perp per degree, and the
+    # rational degree-4 certificate pairs the six witnesses once; every
+    # other pairing runs at the certificate prime
     assert [args[:2] for args in calls["square_perp_basis"]] == \
         [(d, r) for d in (4, 5, 6, 7) for r in (None, q)]
-    assert [(d, s.p) for d, s in calls["_pairings"]] == \
-        [(4, q), (4, None), (5, q)]
+    assert [(a, b, start) for a, b, s, *start in calls["_pair_rows"]
+            if s.p is None] == [(2, 2, [])]
+    assert {s.p for _, _, s, *_ in calls["_pair_rows"]} == {q, None}
     assert calls["is_nondegenerate_cubic"] == [(None,), (q,)]
     assert calls["ann_degree"] == [(2, q), (2, None), (3, q)]
 
@@ -229,18 +229,19 @@ def test_rational_certificate_products_are_integers(monkeypatch):
     # the degree-4 certificate pairs F scaled to integers with the I_2 rows
     # scaled to integers, so its check never touches a Fraction
     seen = []
-    orig = hilbert._pairings
+    orig = hilbert._pair_rows
 
-    def recording(vecs, d, slices):
-        out = orig(vecs, d, slices)
+    def recording(vecs, a, b, slices, *chunk):
+        out = orig(vecs, a, b, slices, *chunk)
         if slices.p is None:
-            seen.append((vecs, d, slices(2), out))
+            seen.append((vecs, (a, b), slices(2), out))
         return out
 
-    monkeypatch.setattr(hilbert, "_pairings", recording)
+    monkeypatch.setattr(hilbert, "_pair_rows", recording)
     assert analyze(random_cubic(3), field_kind="q").tangent_dim == 76
-    ((vecs, d, quadrics, pairs),) = seen
-    assert d == 4 and vecs.shape == (6, 126) and quadrics.shape == (15, 21)
+    ((vecs, pair, quadrics, pairs),) = seen
+    assert pair == (2, 2) and vecs.shape == (6, 126) \
+        and quadrics.shape == (15, 21) and pairs.shape == (120, 6)
     # int64 where the entries fit, Python ints where they do not (the I_2
     # rows of this cubic reach 81 bits)
     for arr in (vecs, quadrics, pairs):
@@ -463,20 +464,22 @@ def test_fiber_equivalence_detects_difference():
 def test_perp_mod_p_matches_the_block_chain():
     # reference: the kernel of every product block, intersected block by
     # block over all of P_d, against the search among x_j (dp-times) the
-    # perp of degree d - 1
-    for F in (_fixture(), random_cubic(0), waring_sum(7, 0)[0],
-              waring_sum(9, 0)[0], sum_of_cubes()):
-        slices = hilbert._checked_slices(F, P)
+    # perp of degree d - 1; mod 19 random_cubic(0) lies on E (perp_4 is
+    # 15), so a chunk of its degree-4 products drops rank there
+    for p, F in itertools.product(
+            (P, 19), (_fixture(), random_cubic(0), waring_sum(7, 0)[0],
+                      waring_sum(9, 0)[0], sum_of_cubes())):
+        slices = hilbert._checked_slices(F, p)
         for d in (4, 5, 6, 7):
             chain = None
             for block in hilbert._product_blocks(d, slices):
-                chain = linalg.pivot_kernel_fp(block, P)[2] \
+                chain = linalg.pivot_kernel_fp(block, p)[2] \
                     if chain is None else \
-                    linalg.restrict_kernel(chain, block, P)
+                    linalg.restrict_kernel(chain, block, p)
                 if chain.shape[0] == 0:
                     break
-            assert square_perp_basis(F, d, P, slices).rows == \
-                linalg.rref_fp(chain, P)[0].tolist()
+            assert square_perp_basis(F, d, p, slices).rows == \
+                linalg.rref_fp(chain, p)[0].tolist()
 
 
 @pytest.mark.parametrize("make", [lambda: random_cubic(0), sum_of_cubes,
@@ -484,92 +487,135 @@ def test_perp_mod_p_matches_the_block_chain():
                          ids=["random", "cubes", "waring9"])
 def test_degree4_pairings_are_the_ev_product_matrix(make):
     # paired with all of P_4, the distinct products of the I_2 rows are
-    # the 120 x 126 product matrix, in its row order
+    # the 120 x 126 product matrix, in its row order; a chunk of I_2 rows
+    # gives the rows of the products whose first factor is in the chunk
     F = make()
     qs = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2, P).rows]
-    pairs = hilbert._pairings(np.eye(126, dtype=np.int64), 4,
-                              hilbert._checked_slices(F, P))
+    slices = hilbert._checked_slices(F, P)
+    eye = np.eye(126, dtype=np.int64)
+    pairs = hilbert._pair_rows(eye, 2, 2, slices)
     assert pairs.shape == (120, 126)
     assert pairs.tolist() == ev_product_matrix(qs, F, P).tolist()
+    first = np.triu_indices(15)[0]
+    for start, stop in ((0, 1), (3, 7), (9, 15), (14, 15)):
+        assert hilbert._pair_rows(eye, 2, 2, slices, start, stop).tolist() \
+            == pairs[(first >= start) & (first < stop)].tolist()
+
+
+_CUT_CUBICS = {"random": lambda: random_cubic(0),
+               "waring7": lambda: waring_sum(7, 0)[0]}
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_setup(name, p, d):
+    """The slices of a cubic mod p and its degree-d perp rows."""
+    F = _CUT_CUBICS[name]()
+    slices = hilbert._checked_slices(F, p)
+    return slices, np.array(square_perp_basis(F, d, p, slices).rows,
+                            dtype=np.int64).reshape(-1, dim_degree(6, d))
 
 
 @st.composite
-def _pairing_matrices(draw):
-    """A reduced matrix mod p whose rows are zero rows, copies of earlier
-    rows or combinations of a few base rows, so its first chunk may be
-    rank deficient and its kernel may empty anywhere or never."""
-    p = draw(st.sampled_from([7, P]))
-    ncols = draw(st.integers(1, 5))
-    residue = st.integers(0, p - 1)
-    base = draw(st.lists(st.lists(residue, min_size=ncols, max_size=ncols),
-                         min_size=1, max_size=ncols + 1))
-    rows = []
-    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "combo"]),
-                              max_size=9 * ncols)):
-        if kind == "zero":
-            rows.append([0] * ncols)
-        elif kind == "copy" and rows:
-            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
-        else:
-            coeffs = draw(st.lists(residue, min_size=len(base),
-                                   max_size=len(base)))
-            rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) % p
-                         for j in range(ncols)])
-    return p, np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+def _search_spaces(draw):
+    """A search space mod p in degree 4 or 5: zero rows, copies of earlier
+    rows and combinations of a few base vectors, some in the perp and
+    some random, so it may empty in the first chunk or never."""
+    p = draw(st.sampled_from([11, P]))
+    d = draw(st.sampled_from([4, 5]))
+    name = draw(st.sampled_from(sorted(_CUT_CUBICS)))
+    n_perp, n_random = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    kinds = draw(st.lists(st.sampled_from(["zero", "copy", "combo"]),
+                          max_size=12))
+    return p, d, name, n_perp, n_random, kinds, draw(st.integers(0, 2 ** 16))
 
 
 def _rref_rows(basis, p):
-    return linalg.rref_fp(basis, p)[0].tolist()
+    red, rank, _ = linalg.rref_fp(basis, p)
+    return red[:rank].tolist()
 
 
-@settings(max_examples=200, deadline=None)
-@given(_pairing_matrices())
-@example((7, np.zeros((9, 3), dtype=np.int64)))
-@example((P, np.zeros((0, 4), dtype=np.int64)))
-@example((P, np.array([[1, 2, 3, 4], [0, 1, 1, 0]], dtype=np.int64)))
-@example((7, np.array([[3], [0], [5]], dtype=np.int64)))
-def test_pairing_kernel_spans_the_kernel_of_the_whole_matrix(case):
-    p, mat = case
-    assert _rref_rows(hilbert._pairing_kernel(mat, p), p) == \
-        _rref_rows(linalg.pivot_kernel_fp(mat, p)[2], p)
+@settings(max_examples=60, deadline=None)
+@given(_search_spaces())
+@example((P, 4, "random", 0, 3, ["combo"] * 3, 0))   # empties at once
+@example((11, 4, "random", 6, 0, ["combo", "zero", "copy"] * 4, 1))  # never
+@example((P, 5, "waring7", 1, 2, ["combo", "copy", "zero"] * 3, 2))
+@example((P, 5, "random", 0, 4, [], 3))               # an empty space
+def test_cut_space_is_the_kernel_of_the_stacked_blocks_on_the_space(case):
+    p, d, name, n_perp, n_random, kinds, seed = case
+    slices, perp = _cut_setup(name, p, d)
+    rng = np.random.default_rng(seed)
+    base = np.vstack([perp[rng.permutation(len(perp))[:n_perp]],
+                      rng.integers(0, p, (n_random, dim_degree(6, d)))])
+    rows = []
+    for kind in kinds:
+        if kind == "zero" or not len(base):
+            rows.append(np.zeros(base.shape[1], dtype=np.int64))
+        elif kind == "copy" and rows:
+            rows.append(rows[rng.integers(len(rows))])
+        else:
+            rows.append(rng.integers(0, p, len(base)) @ base % p)
+    space = np.array(rows, dtype=np.int64).reshape(len(rows), base.shape[1])
+    blocks = np.vstack(list(hilbert._product_blocks(d, slices))) % p
+    kern = linalg.pivot_kernel_fp(linalg.matmul_fp(blocks, space.T, p), p)[2]
+    assert _rref_rows(hilbert._cut_space(space, d, slices), p) == \
+        _rref_rows(linalg.matmul_fp(kern, space, p), p)
 
 
-@pytest.mark.parametrize("rows,cuts,dim", [
-    # zero rows dropped, then a first chunk of rank 1 (duplicates); the
-    # next 2k = 6 rows empty the kernel, and the ten after them are not read
-    ([[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0],
-      [2, 3, 4], [1, 1, 0], [0, 0, 1], [5, 6, 1], [1, 0, 0]]
-     + [[1, 2, 3]] * 10, [6], 0),
-    # rank 2 throughout: chunks of 6 rows and of the 6 left, and the
-    # kernel never empties
-    ([[1, 2, 0], [2, 4, 0], [0, 0, 1]] * 5, [6, 6], 1),
-    # the all-zero matrix: its kernel is the whole space
-    ([[0, 0, 0]] * 7, [], 3),
-], ids=["empties-mid-way", "never-empties", "all-zero"])
-def test_pairing_kernel_cuts_in_doubling_chunks(monkeypatch, rows, cuts, dim):
-    seen = []
-    orig = linalg.restrict_kernel
+@pytest.mark.parametrize("make,p,pinned", [
+    # degree 4: ceil(126 / 15) = 9 rows, then the 6 left; degree 5:
+    # ceil(21 / 55) = 1 row, then 2 rows empty the space
+    (lambda: random_cubic(0), P,
+     [(2, 2, 0, 9), (2, 2, 9, 15), (2, 3, 0, 1), (2, 3, 1, 3)]),
+    (lambda: random_cubic(0), 19, None),
+    (lambda: waring_sum(7, 0)[0], P, None), (sum_of_cubes, P, None)],
+    ids=["random", "random-on-E-mod-19", "waring7", "cubes"])
+def test_cut_space_reads_doubling_chunks_until_the_space_is_empty(
+        monkeypatch, make, p, pinned):
+    calls = []
+    orig = hilbert._pair_rows
 
-    def recorded(basis, constraint, p):
-        seen.append(len(constraint))
-        return orig(basis, constraint, p)
+    def recorded(vecs, a, b, slices, start, stop):
+        out = orig(vecs, a, b, slices, start, stop)
+        # the vectors left after this chunk, the search space being
+        # independent
+        calls.append((a, b, start, stop, len(vecs),
+                      len(vecs) - linalg.rref_fp(out, p)[1]))
+        return out
 
-    monkeypatch.setattr(linalg, "restrict_kernel", recorded)
-    mat = np.array(rows, dtype=np.int64)
-    kern = hilbert._pairing_kernel(mat, P)
-    assert len(kern) == dim and seen == cuts
-    assert _rref_rows(kern, P) == \
-        _rref_rows(linalg.pivot_kernel_fp(mat, P)[2], P)
+    monkeypatch.setattr(hilbert, "_pair_rows", recorded)
+    F = make()
+    dims = perp_dimensions(F, p)
+    slices = hilbert._checked_slices(F, p)
+    for d in (4, 5, 6, 7):
+        in_degree = [c for c in calls if c[0] + c[1] == d]
+        left = in_degree[0][4] if in_degree else 0
+        for a, b in hilbert._degree_pairs(d):
+            rows = len(slices(a))
+            n_b = dim_degree(6, b) if b > 3 else len(slices(b))
+            start, size = 0, None
+            for *_, c_start, c_stop, k, c_left in (
+                    c for c in in_degree if c[:2] == (a, b)):
+                # no call on an empty space, and none past the slice
+                assert k == left > 0 and c_stop <= rows
+                size = -(-k // n_b) if size is None else 2 * size
+                assert (c_start, c_stop) == (start, min(start + size, rows))
+                start, left = c_stop, c_left
+            # a pair stops once the space is empty or its rows run out
+            assert left == 0 or start == rows
+        assert left == dims[d]
+    assert pinned is None or [c[:4] for c in calls] == pinned
 
 
-@pytest.mark.parametrize("make,kernel_rows", [
-    (lambda: waring_sum(9, 0)[0], 75), (lambda: random_cubic(0), 21)],
+@pytest.mark.parametrize("make,chunk_shapes", [
+    (lambda: waring_sum(9, 0)[0], [(99, 126), (21, 27), (110, 75), (118, 3)]),
+    (lambda: random_cubic(0), [(99, 126), (21, 27), (55, 21), (72, 3)])],
     ids=["waring9", "random"])
 def test_modular_perps_never_eliminate_a_whole_degree5_pairing(
-        monkeypatch, make, kernel_rows):
+        monkeypatch, make, chunk_shapes):
     # the degree-5 pairing has 825 rows over a search space of 75 or 21
-    # vectors; only its first chunk of that many rows is eliminated whole,
-    # and degree 4 eliminates the 120 distinct products once
+    # vectors; it is read in chunks of 1 or 2 I_2 rows and then twice as
+    # many (nonzero products by vectors left), and degree 4 reads its 120
+    # distinct products in chunks of 9 and 6 I_2 rows
     shapes = []
     orig = linalg._rref
 
@@ -579,7 +625,7 @@ def test_modular_perps_never_eliminate_a_whole_degree5_pairing(
 
     monkeypatch.setattr(linalg, "_rref", recorded)
     perp_dimensions(make(), P)
-    assert (120, 126) in shapes and (kernel_rows, kernel_rows) in shapes
+    assert [s for s in shapes if s in chunk_shapes] == chunk_shapes
     assert all(nrows != 825 for nrows, _ in shapes)
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from apolar import linalg
 from fraction_reference import (
     det_bareiss,
+    free_kernel_reference,
     kernel_reference,
     rref_fp_reference,
     rref_reference,
@@ -161,6 +162,17 @@ def test_rational_solver_matches_the_fraction_reference(mat):
     # Fraction for Fraction, not just equal values
     assert all(type(x) is Fraction
                for rows in (got[0], kern) for row in rows for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_matrices())
+def test_kernel_reference_is_the_rref_of_the_free_column_basis(mat):
+    # one elimination of the column-reversed matrix gives what the
+    # reference's old body gave: a second Gauss-Jordan over the basis
+    # that is the identity on the free columns of the left-greedy pivots
+    basis = free_kernel_reference(mat)
+    assert kernel_reference(mat) == \
+        (rref_reference(basis)[0] if basis else [])
 
 
 def _spy_primes(monkeypatch, first):
