@@ -540,7 +540,9 @@ def _rref_rows(basis, p):
 @example((11, 4, "random", 6, 0, ["combo", "zero", "copy"] * 4, 1))  # never
 @example((P, 5, "waring7", 1, 2, ["combo", "copy", "zero"] * 3, 2))
 @example((P, 5, "random", 0, 4, [], 3))               # an empty space
-def test_cut_space_is_the_kernel_of_the_stacked_blocks_on_the_space(case):
+def test_pairing_kernel_spans_the_kernel_of_the_whole_matrix(case):
+    # the space _cut_space leaves is the kernel of the whole degree-d
+    # pairing matrix (all product blocks stacked) on the search space
     p, d, name, n_perp, n_random, kinds, seed = case
     slices, perp = _cut_setup(name, p, d)
     rng = np.random.default_rng(seed)
@@ -559,6 +561,36 @@ def test_cut_space_is_the_kernel_of_the_stacked_blocks_on_the_space(case):
     kern = linalg.pivot_kernel_fp(linalg.matmul_fp(blocks, space.T, p), p)[2]
     assert _rref_rows(hilbert._cut_space(space, d, slices), p) == \
         _rref_rows(linalg.matmul_fp(kern, space, p), p)
+
+
+@pytest.mark.parametrize("name,d", [("waring7", 4)], ids=["all-zero"])
+def test_pairing_kernel_cuts_in_doubling_chunks(monkeypatch, name, d):
+    # a search space inside the perp pairs to zero with every product, so
+    # it is never cut: each pair (a, b) reads ceil(k / n_b) rows and then
+    # twice as many, until its rows run out
+    slices, perp = _cut_setup(name, P, d)
+    calls = []
+    orig = hilbert._pair_rows
+
+    def recorded(vecs, a, b, slices, start, stop):
+        out = orig(vecs, a, b, slices, start, stop)
+        assert not out.any()
+        calls.append((a, b, start, stop))
+        return out
+
+    monkeypatch.setattr(hilbert, "_pair_rows", recorded)
+    assert len(perp) > 0
+    assert _rref_rows(hilbert._cut_space(perp, d, slices), P) == \
+        _rref_rows(perp, P)
+    expected = []
+    for a, b in hilbert._degree_pairs(d):
+        rows = len(slices(a))
+        n_b = dim_degree(6, b) if b > 3 else len(slices(b))
+        start, size = 0, -(-len(perp) // n_b)
+        while start < rows:
+            expected.append((a, b, start, min(start + size, rows)))
+            start, size = min(start + size, rows), 2 * size
+    assert calls == expected and len(calls) > len(hilbert._degree_pairs(d))
 
 
 @pytest.mark.parametrize("make,p,pinned", [
