@@ -125,36 +125,13 @@ def ann_degree(F: Poly, r: int, p: int | None = None) -> linalg.SubspaceBasis:
     return linalg.SubspaceBasis("S", r, n, ncols, p, rows)
 
 
-@dataclass(frozen=True)
-class HilbertFunctionRecord:
-    """Values h(0..d) of the apolar algebra's Hilbert function."""
-
-    values: tuple[int, ...]
-
-    @property
-    def socle_degree(self) -> int:
-        return len(self.values) - 1
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, HilbertFunctionRecord):
-            return self.values == other.values
-        return tuple(self.values) == tuple(other)
-
-    def __hash__(self):
-        return hash(self.values)
-
-
-def hilbert_function(F: Poly, p: int | None = None) -> HilbertFunctionRecord:
+def hilbert_function(F: Poly, p: int | None = None) -> tuple[int, ...]:
     """h(r) = rank of the degree-r catalecticant, for r = 0..deg F."""
     _require_form(F)
     if F.is_zero():
-        return HilbertFunctionRecord((0,))
-    d = F.degree()
-    return HilbertFunctionRecord(tuple(
-        linalg.rank(catalecticant(F, r, p), p) for r in range(d + 1)))
+        return (0,)
+    return tuple(linalg.rank(catalecticant(F, r, p), p)
+                 for r in range(F.degree() + 1))
 
 
 def is_nondegenerate_cubic(F: Poly, p: int | None = None) -> bool:

@@ -36,7 +36,6 @@ from .apolarity import (
     _products,
     ann_degree,
     catalecticant,
-    hilbert_function,
     is_nondegenerate_cubic,
     shift_table,
 )
@@ -148,14 +147,14 @@ def _product_blocks(d: int, slices):
 class _Slices:
     """Annihilator slices of one cubic over one field, each computed once.
 
-    Made by :func:`_checked_slices` only after the cubic was found
-    nondegenerate over that field.  Called with r <= 3 it gives the rows
-    of the degree-r slice, converted once: int64 residues mod p, or over
-    Q primitive integer rows (:func:`linalg.integer_rows`), the same span,
-    so the products and their kernels stay in integers.  ``perps`` holds
-    the perps computed so far over the same field, by degree; over Q,
-    ``cert`` holds the slices at the certificate prime, with the perps
-    there in ``cert.perps``.
+    Called with r <= 3 it gives the rows of the degree-r slice, converted
+    once: int64 residues mod p, or over Q primitive integer rows
+    (:func:`linalg.integer_rows`), the same span, so the products and
+    their kernels stay in integers.  The degree-2 slice also gives the
+    Hilbert function (:attr:`h`).  ``perps`` holds the perps computed so
+    far over the same field, by degree; over Q, ``cert`` holds the slices
+    at the certificate prime (set by :func:`_checked_slices`), with the
+    perps there in ``cert.perps``.
     """
 
     F: Poly
@@ -171,6 +170,13 @@ class _Slices:
                 else linalg.field_array(rows, self.p)
         return self.cache[r]
 
+    @property
+    def h(self) -> int:
+        """h(1) = h(2) of the cubic's Hilbert function (1, h, h, 1):
+        dim S_2 - dim I_2, since Cat(F, 1) is the transpose of Cat(F, 2).
+        The cubic is nondegenerate exactly when h = n."""
+        return dim_degree(self.F.n, 2) - len(self(2))
+
 
 def _check_prime(p: int) -> None:
     """Refuse an explicit modulus that is not prime: every inverse mod p
@@ -179,15 +185,19 @@ def _check_prime(p: int) -> None:
         raise ValueError("modulus %d is not prime" % p)
 
 
-def _checked_slices(F: Poly, p: int | None) -> _Slices:
+def _checked_slices(slices: _Slices) -> _Slices:
+    """The slices, once their field and cubic admit the squared-ideal
+    analysis; over Q with the certificate-prime slices attached."""
+    F, p = slices.F, slices.p
     if p is not None and p <= 7:
         raise ValueError("the modular perps need a prime above 7")
     if p is not None:
         _check_prime(p)
-    if not is_nondegenerate_cubic(F, p):
+    if F.is_zero() or F.degree() != 3 or slices.h != F.n:
         raise ValueError("squared-ideal analysis needs a nondegenerate cubic")
-    cert = None if p is not None else _Slices(F, _cert_prime(F))
-    return _Slices(F, p, cert)
+    if p is None:
+        slices.cert = _Slices(F, _cert_prime(F))
+    return slices
 
 
 def square_perp_basis(F: Poly, d: int, p: int | None = None,
@@ -216,7 +226,7 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     """
     if d < 4 or d > 7:
         raise ValueError("degree must be between 4 and 7")
-    slices = slices if slices is not None else _checked_slices(F, p)
+    slices = slices if slices is not None else _checked_slices(_Slices(F, p))
     if p is not None:
         return _perp_fp(F, d, slices)
     if d not in slices.perps:
@@ -339,7 +349,7 @@ def perp_dimensions(F: Poly, p: int | None = None) -> dict[int, int]:
     The annihilator slices, the perps of each degree, and the check that
     F is a nondegenerate cubic are shared across degrees.
     """
-    slices = _checked_slices(F, p)
+    slices = _checked_slices(_Slices(F, p))
     return {d: square_perp_basis(F, d, p, slices).dim for d in (4, 5, 6, 7)}
 
 
@@ -410,11 +420,16 @@ class AnalysisReport:
 
 
 def _analyze_once(F: Poly, p: int | None):
-    hf = hilbert_function(F, p).values
-    dim2 = dim_degree(F.n, 2) - hf[2]
-    if hf[1] != F.n:
+    """hf, dim I_2, perps, tangent dimension and on-E flag over one field,
+    all read from one set of slices: hf is (1, h, h, 1), or all zero when
+    F vanishes mod p."""
+    slices = _Slices(F, p)
+    h, dim2 = slices.h, len(slices(2))
+    hf = (1, h, h, 1) if h else (0, 0, 0, 0)
+    if h != F.n:
         return hf, dim2, {}, None, None
-    perps = perp_dimensions(F, p)
+    _checked_slices(slices)
+    perps = {d: square_perp_basis(F, d, p, slices).dim for d in (4, 5, 6, 7)}
     tangent = 70 + sum(perps.values())
     return hf, dim2, perps, tangent, perps[4] > 6
 

@@ -426,10 +426,10 @@ def _limbs(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _carry(acc: np.ndarray, start: int = 0, stop: int | None = None):
-    """Move all but the low 26 bits of limbs start..stop-1 one limb up,
-    keeping sum_j acc[j] * 2^(26 j); the top limb takes the sign."""
-    for j in range(start, len(acc) - 1 if stop is None else stop):
+def _carry(acc: np.ndarray):
+    """Move all but the low 26 bits of every limb below the top one limb
+    up, keeping sum_j acc[j] * 2^(26 j); the top limb takes the sign."""
+    for j in range(len(acc) - 1):
         acc[j + 1] += acc[j] >> _LIMB
         acc[j] &= _MASK
 

@@ -419,7 +419,7 @@ def mul_s(p: Poly, q: Poly) -> Poly:
     return Poly("S", p.n, out)
 
 
-def waring_power(c: Iterable[Scalar], degree: int, ring: str = "P") -> Poly:
+def waring_power(c: Iterable[Scalar], degree: int) -> Poly:
     """Divided-power d-th power of the linear form with coefficients c.
 
     Returns sum over |e| = d of (prod c_i^e_i) x^e, i.e. the form whose
@@ -441,7 +441,7 @@ def waring_power(c: Iterable[Scalar], degree: int, ring: str = "P") -> Poly:
                 w *= ci ** e
         if w:
             terms[expo] = w
-    return Poly(ring, n, terms)
+    return Poly("P", n, terms)
 
 
 def waring_cube(c: Iterable[Scalar]) -> Poly:

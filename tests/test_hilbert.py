@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from apolar import hilbert, linalg
-from apolar.apolarity import ann_degree
+from apolar import apolarity, hilbert, linalg
+from apolar.apolarity import ann_degree, hilbert_function
 from apolar.constructions import (
     gr26_section_cubic,
     random_cubic,
@@ -114,8 +114,76 @@ def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
     assert [(a, b, start) for a, b, s, *start in calls["_pair_rows"]
             if s.p is None] == [(2, 2, [])]
     assert {s.p for _, _, s, *_ in calls["_pair_rows"]} == {q, None}
-    assert calls["is_nondegenerate_cubic"] == [(None,), (q,)]
-    assert calls["ann_degree"] == [(2, q), (2, None), (3, q)]
+    # nondegeneracy over Q is read from the rational I_2, and only then
+    # is the certificate prime checked and its slices built
+    assert calls["is_nondegenerate_cubic"] == [(q,)]
+    assert calls["ann_degree"] == [(2, None), (2, q), (3, q)]
+
+
+def test_modular_analysis_reads_hf_and_nondegeneracy_from_the_slices(
+        monkeypatch):
+    # one kernel for I_2 and one for I_3 give the Hilbert function, dim I_2,
+    # nondegeneracy and the perps: no rank is taken
+    F = random_cubic(0)
+    slices = []
+    orig = hilbert.ann_degree
+
+    def counted(G, r, p=None):
+        slices.append((r, p))
+        return orig(G, r, p)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(hilbert, "ann_degree", counted)
+    for mod, name in [(apolarity, "hilbert_function"),
+                      (apolarity, "is_nondegenerate_cubic"),
+                      (hilbert, "is_nondegenerate_cubic"),
+                      (linalg, "rank_fp")]:
+        monkeypatch.setattr(mod, name, refused)
+    assert not hasattr(hilbert, "hilbert_function")
+    rep = analyze(F, primes=[P])
+    assert (rep.hf, rep.dim_I2, rep.tangent_dim) == ((1, 6, 6, 1), 15, 76)
+    assert slices == [(2, P), (3, P)]
+
+
+_CONES = ["x5^3", "x0*x1*x2", "x0^3 + x1*x2*x3 + x4^3 + x0*x1*x4"]
+
+
+@settings(max_examples=6, deadline=None)
+@given(F=st.one_of(
+    st.integers(0, 10 ** 6).map(random_cubic),
+    st.dictionaries(st.sampled_from(monomials(6, 3)),
+                    st.integers(-3, 3).filter(bool), min_size=1, max_size=8)
+    .map(lambda terms: Poly("P", 6, terms))))
+@example(F=parse_poly(_CONES[0], "P", 6))
+@example(F=parse_poly(_CONES[1], "P", 6))
+@example(F=parse_poly(_CONES[2], "P", 6))
+def test_analysis_hf_and_dim_I2_match_the_references(F):
+    # the report reads (1, h, h, 1) and dim I_2 off the I_2 kernel; the
+    # references take every catalecticant rank and the I_2 kernel apart
+    for p, kwargs in ((P, {"primes": [P]}), (None, {"field_kind": "q"})):
+        rep = analyze(F, **kwargs)
+        assert rep.hf == hilbert_function(F, p)
+        assert rep.dim_I2 == ann_degree(F, 2, p).dim
+        assert (rep.verdict == VERDICT_DEGENERATE) == (rep.hf[1] != 6)
+
+
+def test_analyze_at_small_and_bad_inputs():
+    # a cone is Degenerate at any prime, 7 included: its Hilbert function
+    # needs no prime above 7, only the perps of a nondegenerate cubic do
+    rep = analyze(_cube(), primes=[7])
+    assert (rep.hf, rep.dim_I2, rep.verdict) == \
+        ((1, 1, 1, 1), 20, VERDICT_DEGENERATE)
+    with pytest.raises(ValueError, match="prime above 7"):
+        analyze(_fixture(), primes=[7])
+    # a cubic that vanishes mod p has the zero Hilbert function there
+    rep = analyze(_fixture().scale(11), primes=[11])
+    assert (rep.hf, rep.dim_I2, rep.verdict) == \
+        ((0, 0, 0, 0), 21, VERDICT_DEGENERATE)
+    for kwargs in ({"primes": [7]}, {"primes": [P]}, {"field_kind": "q"}):
+        with pytest.raises(ValueError, match="expected a homogeneous form"):
+            analyze(parse_poly("x0^3 + x1", "P", 6), **kwargs)
 
 
 def test_certificate_primes_follow_the_solver_stream():
@@ -206,11 +274,11 @@ def test_witness_rows_match_dp_mul():
 
 
 def test_rational_analysis_runs_each_rank_once(monkeypatch):
-    # one rank in random_cubic's nondegeneracy check, four for the Hilbert
-    # function and one nondegeneracy check before the perps; ev_product_matrix
-    # checks annihilation with one product, not a rank of the 15
-    # contractions, and the witness span of the degree-4 certificate needs
-    # no separate rank
+    # the one rank is random_cubic's nondegeneracy check: the analysis
+    # reads the Hilbert function and nondegeneracy from the I_2 kernel,
+    # ev_product_matrix checks annihilation with one product, not a rank
+    # of the 15 contractions, and the witness span of the degree-4
+    # certificate needs no separate rank
     calls = []
     orig = linalg.rank_q
 
@@ -221,7 +289,7 @@ def test_rational_analysis_runs_each_rank_once(monkeypatch):
     monkeypatch.setattr(linalg, "rank_q", counted)
     rep = analyze(random_cubic(3), field_kind="q")
     assert rep.tangent_dim == 76
-    assert len(calls) == 6
+    assert len(calls) == 1
     assert calls.count(15) == 0
 
 
@@ -469,7 +537,7 @@ def test_perp_mod_p_matches_the_block_chain():
     for p, F in itertools.product(
             (P, 19), (_fixture(), random_cubic(0), waring_sum(7, 0)[0],
                       waring_sum(9, 0)[0], sum_of_cubes())):
-        slices = hilbert._checked_slices(F, p)
+        slices = hilbert._checked_slices(hilbert._Slices(F, p))
         for d in (4, 5, 6, 7):
             chain = None
             for block in hilbert._product_blocks(d, slices):
@@ -491,7 +559,7 @@ def test_degree4_pairings_are_the_ev_product_matrix(make):
     # gives the rows of the products whose first factor is in the chunk
     F = make()
     qs = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2, P).rows]
-    slices = hilbert._checked_slices(F, P)
+    slices = hilbert._checked_slices(hilbert._Slices(F, P))
     eye = np.eye(126, dtype=np.int64)
     pairs = hilbert._pair_rows(eye, 2, 2, slices)
     assert pairs.shape == (120, 126)
@@ -510,7 +578,7 @@ _CUT_CUBICS = {"random": lambda: random_cubic(0),
 def _cut_setup(name, p, d):
     """The slices of a cubic mod p and its degree-d perp rows."""
     F = _CUT_CUBICS[name]()
-    slices = hilbert._checked_slices(F, p)
+    slices = hilbert._checked_slices(hilbert._Slices(F, p))
     return slices, np.array(square_perp_basis(F, d, p, slices).rows,
                             dtype=np.int64).reshape(-1, dim_degree(6, d))
 
@@ -617,7 +685,7 @@ def test_cut_space_reads_doubling_chunks_until_the_space_is_empty(
     monkeypatch.setattr(hilbert, "_pair_rows", recorded)
     F = make()
     dims = perp_dimensions(F, p)
-    slices = hilbert._checked_slices(F, p)
+    slices = hilbert._checked_slices(hilbert._Slices(F, p))
     for d in (4, 5, 6, 7):
         in_degree = [c for c in calls if c[0] + c[1] == d]
         left = in_degree[0][4] if in_degree else 0
