@@ -137,7 +137,8 @@ def _build_parser() -> _Parser:
                             "e.g. 't*x1^2 + x1*x2'")
     p_fam.add_argument("--samples", default="0,1,2,3,4", metavar="T0,T1,...",
                        help="comma-separated integer parameter values "
-                            "(default %(default)s)")
+                            "(default %(default)s); write --samples=-1,0,1 "
+                            "when the first value is negative")
     _add_field(p_fam, "q")
     _add_common(p_fam)
     p_fam.set_defaults(func=_cmd_family)

@@ -46,7 +46,6 @@ from .poly import (
     is_prime,
     monomial_index,
     monomials,
-    poly_from_vector,
 )
 
 VERDICT_NONSMOOTHABLE = "NonSmoothableCertified"
@@ -529,28 +528,23 @@ class PencilProfile:
                 tuple(sorted(self.roots.values())))
 
 
-def _section_pairs(quadric_family, n: int):
-    zero = [0] * dim_degree(n, 2)
-    return [(zero if a is None else coefficient_vector(a, 2),
-             coefficient_vector(b, 2)) for a, b in quadric_family]
-
-
-def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
-    """Quadric annihilator family along u*F1 + v*F2: constant sections
-    (common annihilators of both endpoints, stored as (None, q)) plus
-    moving sections (a, b) meaning u*a + v*b, a canonical basis of the
-    kernel of the three bilinear compatibility conditions taken modulo the
-    constants.  The section values at any parameter with a 15-dimensional
-    annihilator slice span that slice exactly.
+def pencil_family(F1: Poly, F2: Poly, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadric annihilator family along u*F1 + v*F2, as two 15 x 21
+    arrays (a, b) of residues mod p: row i is the section u*a_i + v*b_i
+    in degree-2 monomial coordinates.  The constants (common annihilators
+    of both endpoints, a_i = 0) come first, then the movers, a canonical
+    basis of the kernel of the three bilinear compatibility conditions
+    taken modulo the constants.  The section values at any parameter with
+    a 15-dimensional annihilator slice span that slice exactly.
 
     The constants come from one kernel, of both transposed degree-2
     catalecticants stacked: canonical RREF rows of the common annihilator
-    slice.  The movers are the rows of one RREF of the constants (in both
-    halves) and the solutions together whose pivot is not a pivot of the
-    constants: a subspace's pivots are among its superspace's, so these
-    rows are the RREF of the solutions modulo the constants."""
-    n = F1.n
-    dim2 = dim_degree(n, 2)
+    slice, whose pivots are the first nonzero entry of each row.  The
+    movers are the rows of one RREF of the constants (in both halves) and
+    the solutions together whose pivot is not a pivot of the constants: a
+    subspace's pivots are among its superspace's, so these rows are the
+    RREF of the solutions modulo the constants."""
+    dim2 = dim_degree(F1.n, 2)
     t1 = catalecticant(F1, 2, p)
     t2 = catalecticant(F2, 2, p)
     constants = linalg.kernel_fp(np.vstack([t1.T, t2.T]), p)
@@ -563,22 +557,17 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> list[tuple[Poly | None, Poly]]:
     solutions = linalg.kernel_fp(rows, p)
     zc = np.zeros_like(constants)
     cc = np.vstack([np.hstack([constants, zc]), np.hstack([zc, constants])])
-    fixed = set(linalg.rref_fp(cc, p)[2])
+    fixed = set((cc != 0).argmax(axis=1).tolist())
     red, _, pivots = linalg.rref_fp(np.vstack([cc, solutions]), p)
-    movers = [red[i] for i, c in enumerate(pivots) if c not in fixed]
+    movers = red[[i for i, c in enumerate(pivots) if c not in fixed]]
     if len(constants) + len(movers) != 15:
         raise ValueError(
             "pencil family has %d constants + %d movers, expected 15 total"
             % (len(constants), len(movers)))
-    if not movers:
+    if not len(movers):
         raise ValueError("pencil does not move (endpoints share all quadrics)")
-    family: list[tuple[Poly | None, Poly]] = []
-    for crow in constants:
-        family.append((None, poly_from_vector(crow.tolist(), "S", n, 2)))
-    for m in movers:
-        family.append((poly_from_vector(m[:dim2].tolist(), "S", n, 2),
-                       poly_from_vector(m[dim2:].tolist(), "S", n, 2)))
-    return family
+    return (np.vstack([zc, movers[:, :dim2]]),
+            np.vstack([constants, movers[:, dim2:]]))
 
 
 def _chart_columns(chart: tuple, n: int) -> list[int]:
@@ -595,23 +584,24 @@ class _PencilData(NamedTuple):
     """One prime's pencil data (see :func:`_collect_node_data`)."""
 
     us: np.ndarray         # the nodes u
-    witness: np.ndarray    # the 6 x 126 witness rows W(u), one per node
+    witness: tuple         # W1, W2: the witness rows W(u) = u*W1 + W2
     scale: int             # eps(rows of C) * eps(Pc) * det C[:, Pc], or 0
     kernel: np.ndarray     # K_C, the kernel of C that is the identity on Fc
     schur: tuple           # N0, N1, N2: the moving rows times K_C^T
     quadratic: np.ndarray  # the rows where N2 is nonzero
 
 
-def _collect_node_data(F1, F2, sections, nodes, p):
+def _collect_node_data(F1, F2, family, nodes, p):
     """Everything one prime's chart walk reads, built once: the 120 x 126
     product matrix M(u_0) of the section values at the first node (the
     only M(u) formed; the spot check reads it), and the
-    :class:`_PencilData` of the pencil.
+    :class:`_PencilData` of the pencil, from the section arrays (a, b) of
+    :func:`pencil_family`.
 
-    The data holds the 6 x 126 witness rows W(u) of the fiber cubic
-    u*F1 + F2 at every node, which the chart units read, and one Schur
-    complement of M(u) = M0 + u*M1 + u^2*M2.  The rows C where M1 and M2
-    vanish (the products of two constant sections) do not move with u;
+    The data holds the 6 x 126 witness rows W1, W2 of F1 and F2, whose
+    chart columns give the chart units, and one Schur complement of
+    M(u) = M0 + u*M1 + u^2*M2.  The rows C where M1 and M2 vanish (the
+    products of two constant sections) do not move with u;
     they are eliminated once, giving their pivot columns Pc, d =
     det C[:, Pc] and their kernel K_C, the identity on the other columns
     Fc.  For the moving rows V(u), N(u) = V(u) K_C^T = N0 + u*N1 + u^2*N2
@@ -625,9 +615,7 @@ def _collect_node_data(F1, F2, sections, nodes, p):
     n = F1.n
     f1v, f2v = linalg.to_fp_matrix(
         [coefficient_vector(F1, 3), coefficient_vector(F2, 3)], p)
-    w1, w2 = _witness_rows(f1v, n), _witness_rows(f2v, n)
-    a_mat = linalg.to_fp_matrix([s[0] for s in sections], p)
-    b_mat = linalg.to_fp_matrix([s[1] for s in sections], p)
+    a_mat, b_mat = family
     pairs = np.triu_indices(15)
 
     def products(x, y):
@@ -645,9 +633,9 @@ def _collect_node_data(F1, F2, sections, nodes, p):
                   for mk in (m0, m1, m2))
     scale = (linalg.shuffle_sign(np.flatnonzero(fixed))
              * linalg.shuffle_sign(piv_fixed) * d_fixed) % p
-    us = np.array(nodes, dtype=np.int64)
-    return first, _PencilData(us, (w1 * us[:, None, None] + w2) % p, scale,
-                              k_fixed, schur,
+    witness = (_witness_rows(f1v, n) % p, _witness_rows(f2v, n) % p)
+    return first, _PencilData(np.array(nodes, dtype=np.int64), witness,
+                              scale, k_fixed, schur,
                               np.flatnonzero(schur[2].any(axis=1)))
 
 
@@ -718,20 +706,19 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
     The 120 x 120 minor of the section-product matrix M(u), with the six
     columns {x_i * m} of the chart cubic m dropped, is computed as a
     polynomial in u (degree at most 16 per moving section), and divided
-    exactly by the chart-unit determinant, interpolated from its values
-    at distinct nonzero nodes (degree 6, with surplus samples
-    cross-checked); the quotient cuts out the divisor of cubics with
-    oversized square perps, with the multiplicity structure described on
-    :class:`PencilProfile`.  The parameter u = 0 itself is never a node
-    — only the polynomials speak about it, which is the point: the
-    annihilator there may jump.
+    exactly by the chart unit, the minor of the witness rows W(u) on the
+    same six columns (degree at most 6); the quotient cuts out the
+    divisor of cubics with oversized square perps, with the multiplicity
+    structure described on :class:`PencilProfile`.  The parameter u = 0
+    itself is never a node — only the polynomials speak about it, which
+    is the point: the annihilator there may jump.
 
     The family (:func:`pencil_family`), the nodes and the pencil data are
     built once per prime (:func:`_collect_node_data`): the witness rows
-    at every node, and one elimination of the rows of M(u) that do not
-    move with u, which leaves a Schur complement quadratic in u.  A
-    chart's unit is one stacked elimination of its 6 x 6 blocks
-    W(u)[:, chart columns] at all nodes (:func:`linalg.dets_fp`);
+    W1 and W2 of the endpoints, and one elimination of the rows of M(u)
+    that do not move with u, which leaves a Schur complement quadratic in
+    u.  A chart's unit is det(u*W1 + W2)[:, chart columns], from the
+    Leibniz expansion of two 6 x 6 blocks (:func:`linalg.pencil_det_fp`);
     its raw minor is :func:`_chart_minor`, one six-row elimination and one
     characteristic polynomial of the linearized Schur complement, shifted
     to a node.  The determinant comes from ``chart_cubic`` when given,
@@ -769,8 +756,8 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
     if chart is not None and (len(chart) != n or sum(chart) != 3
                               or min(chart) < 0):
         raise ValueError("chart monomial must have degree 3")
-    sections = _section_pairs(pencil_family(F1, F2, p), n)
-    bound = 16 * sum(1 for a, _ in sections if any(a))
+    family = pencil_family(F1, F2, p)
+    bound = 16 * int(family[0].any(axis=1).sum())
 
     if p - 1 < bound + 5:
         raise ValueError(
@@ -784,16 +771,15 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
         if u not in seen:
             seen.add(u)
             nodes.append(u)
-    first_matrix, data = _collect_node_data(F1, F2, sections, nodes, p)
-    raws = {}
+    first_matrix, data = _collect_node_data(F1, F2, family, nodes, p)
+    w1, w2 = data.witness
 
     def chart_determinant(chart_expo: tuple):
         chart_cols = _chart_columns(chart_expo, n)
-        units = linalg.dets_fp(data.witness[:, :, chart_cols], p)
-        dunit = linalg.interpolate(list(zip(nodes, units)), 6, p)
+        dunit = linalg.pencil_det_fp(w1[:, chart_cols], w2[:, chart_cols], p)
         if not dunit:
             raise ValueError("chart unit vanishes identically (bad chart)")
-        draw = raws[chart_expo] = _chart_minor(data, sorted(chart_cols), p)
+        draw = _chart_minor(data, sorted(chart_cols), p)
         if not draw:
             raise ValueError("chart minor identically zero (degenerate chart)")
         quo, rem = linalg.poly_divmod_fp(draw, dunit, p)
@@ -801,18 +787,18 @@ def pencil_profile(F1: Poly, F2: Poly, chart_cubic=None,
             raise ValueError("chart unit does not divide the raw determinant")
         lead_inv = pow(quo[-1], p - 2, p)
         monic = [c * lead_inv % p for c in quo]
-        return monic, len(draw) - 1, len(dunit) - 1
+        return monic, draw, len(dunit) - 1
 
-    chart, (monic, raw_degree, unit_degree) = _default_chart(
+    chart, (monic, raw, unit_degree) = _default_chart(
         chart_determinant, n, chart)
     dropped = sorted(_chart_columns(chart, n))
     direct = linalg.det_fp(np.delete(first_matrix, dropped, axis=1), p)
-    if direct != linalg.poly_eval(raws[chart], nodes[0], p):
+    if direct != linalg.poly_eval(raw, nodes[0], p):
         raise ValueError(
             "chart %s minor at u = %d disagrees with its characteristic "
             "polynomial" % (chart, nodes[0]))
     roots = linalg.roots_fp(monic, p, seeded_rng(seed, "roots:%d" % p))
-    return PencilProfile(chart, p, monic, raw_degree, unit_degree, roots,
+    return PencilProfile(chart, p, monic, len(raw) - 1, unit_degree, roots,
                          len(monic) - 1)
 
 
@@ -820,8 +806,8 @@ def _default_chart(fn, n: int, chart: tuple | None):
     """One walk over the cubic monomials, in cyclic order, on one prime's
     data; returns the accepted chart and ``fn`` of it.
 
-    ``fn`` maps a chart to (monic normalized determinant, raw degree, unit
-    degree) and raises ValueError for an unusable chart.  The explicit
+    ``fn`` maps a chart to (monic normalized determinant, raw polynomial,
+    unit degree) and raises ValueError for an unusable chart.  The explicit
     ``chart`` (which must be usable), or else the first usable monomial,
     gives the determinant; the first other usable monomial must give the
     same monic determinant, as the complementary-minor identity says every

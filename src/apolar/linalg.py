@@ -35,16 +35,16 @@ the pivots; :func:`det_fp` reads it, tested against an integer Bareiss
 reference in the tests.  :func:`pivot_kernel_fp` adds the kernel that is
 the identity on the free columns, which gives every maximal minor
 through the complementary-minor identity (see :func:`shuffle_sign`).
-Only :func:`dets_fp` eliminates a stack at once: the pencil's 6 x 6
-chart units at all nodes.
 Characteristic polynomials (:func:`charpoly_fp`) come from a Hessenberg
 reduction by similarity mod p and the Hessenberg recurrence; the pencil
-reads each chart's minor, a polynomial in u, from one of them.
+reads each chart's minor, a polynomial in u, from one of them, and each
+chart's 6 x 6 unit det(u A + B) from its Leibniz expansion
+(:func:`pencil_det_fp`), which eliminates nothing.
 Univariate interpolation (Newton divided differences) and roots (Yun's
 square-free decomposition, then Cantor-Zassenhaus) work over F_p only.
 Many residues are inverted at once by Montgomery's trick
-(:func:`_inverse_fp`): the pivots of a stacked elimination, the node
-differences of an interpolation, the denominators of a Fraction matrix.
+(:func:`_inverse_fp`): the node differences of an interpolation, the
+denominators of a Fraction matrix.
 
 Subspaces of a graded piece are stored as reduced-row-echelon bases in the
 canonical monomial coordinates, so equality of subspaces is equality of
@@ -58,6 +58,8 @@ its basis to RREF once, where it is published.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -102,7 +104,8 @@ def _inverse_fp(values: list, p: int) -> list:
     by x^(p-2), then one backward pass, three products per entry in all.
 
     Raises ValueError when an entry is 0 mod p: the product of the entries
-    is then 0, and no entry is given a wrong inverse.
+    is then 0, and no entry is given a wrong inverse.  Callers:
+    :func:`to_fp_matrix` (denominators), :func:`interpolate` (node gaps).
     """
     prefix, acc = [], 1
     for x in values:
@@ -267,39 +270,48 @@ def shuffle_sign(cols) -> int:
 
 def det_fp(mat, p: int) -> int:
     """Determinant mod p of one 2-D matrix, the d of its Gauss-Jordan
-    elimination.  A 6 x 6 call is almost all per-call numpy overhead, so
-    many small determinants go to :func:`dets_fp` as one stack instead."""
+    elimination."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("determinant of a non-square matrix")
     return _rref(field_array(mat, p), p)[4]
 
 
-def dets_fp(stack, p: int) -> list:
-    """Determinants mod p of a stack of square matrices, from one forward
-    elimination that every member runs in step.
+@functools.cache
+def _permutations(n: int):
+    """The n! permutations of range(n), one per row, and their signs."""
+    perms = np.array(list(itertools.permutations(range(n))),
+                     dtype=np.intp).reshape(math.factorial(n), n)
+    i, j = np.triu_indices(n, 1)
+    signs = 1 - 2 * ((perms[:, i] > perms[:, j]).sum(axis=1) % 2)
+    perms.flags.writeable = signs.flags.writeable = False  # shared by calls
+    return perms, signs
 
-    Rows are swapped per member (a gather); a member with no nonzero entry
-    left in the pivot column has determinant 0 and goes on with pivot
-    inverse 1, which leaves its rows as they are.  The pivots of a column
-    are inverted as one batch (:func:`_inverse_fp`).
+
+def pencil_det_fp(a, b, p: int) -> list:
+    """det(u a + b) mod p of two n x n matrices, as at most n + 1
+    ascending coefficients in u, trimmed ([] when it vanishes).
+
+    The Leibniz expansion: the n! products sign(s) prod_i (u a[i, s(i)]
+    + b[i, s(i)]) are expanded together, one linear factor per numpy
+    pass, once every permutation s through an entry where a and b are
+    both 0 is dropped.  A pass adds two products of residues, below
+    2 p^2 < 2^53.  Meant for the pencil's 6 x 6 chart units (720 terms).
     """
-    m = to_fp_matrix(stack, p)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError("expected a stack of square matrices")
-    batch, n, _ = m.shape
-    members = np.arange(batch)
-    d = np.ones(batch, dtype=np.int64)
-    for c in range(n):
-        lead = c + (m[:, c:, c] != 0).argmax(axis=1)
-        m[members, c], m[members, lead] = m[members, lead], m[members, c]
-        piv = m[:, c, c]
-        d = np.where(lead == c, d, -d) * piv % p
-        inverse = np.array(_inverse_fp(np.where(piv, piv, 1).tolist(), p))
-        factors = m[:, c + 1:, c] * inverse[:, None] % p
-        m[:, c + 1:, c + 1:] = (m[:, c + 1:, c + 1:] - factors[:, :, None]
-                                * m[:, c, None, c + 1:]) % p
-    return d.tolist()
+    a, b = to_fp_matrix(a, p), to_fp_matrix(b, p)
+    n = len(a)
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise ValueError("pencil determinant of unequal or non-square blocks")
+    perms, signs = _permutations(n)
+    live = ((a != 0) | (b != 0))[range(n), perms].all(axis=1)
+    pa, pb = a[range(n), perms[live]], b[range(n), perms[live]]
+    coeffs = np.zeros((len(pa), n + 1), dtype=np.int64)
+    coeffs[:, 0] = 1
+    for i in range(n):
+        nxt = coeffs * pb[:, i, None]
+        nxt[:, 1:] += coeffs[:, :-1] * pa[:, i, None]
+        coeffs = nxt % p
+    return _trim((signs[live] @ coeffs % p).tolist())
 
 
 def charpoly_fp(mat, p: int) -> list:

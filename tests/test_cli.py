@@ -283,6 +283,15 @@ def test_family_jump(capsys):
     assert doc["lengths"] == {"0": 1, "1": 2, "2": 2}
 
 
+def test_family_negative_samples_in_the_equals_form(capsys):
+    # "--samples -1,0,1" reads as a flag to argparse; the = form does not
+    code, out, _ = _run(capsys, "family", "t*x1", "--samples=-1,0,1",
+                        "--json", "-")
+    assert code == 0
+    doc = json.loads(out[out.index("{"):])
+    assert doc["lengths"] == {"-1": 2, "0": 1, "1": 2}
+
+
 def test_family_fp_skips_a_prime_in_a_denominator(capsys):
     # the seed-0 prime divides a coefficient denominator of the template,
     # so the fp run draws the next prime and answers as the q run does

@@ -766,23 +766,20 @@ def test_pencil_family_fixture_counts(monkeypatch):
 
     monkeypatch.setattr(linalg, "kernel_fp", counted)
     F, G = _fixture(), _cube()
-    fam = pencil_family(F, G, P)
+    a, b = pencil_family(F, G, P)
     # one kernel for the common annihilators, one for the sections
     assert kernels == [P, P]
-    assert len(fam) == 15
-    constants = [s for s in fam if s[0] is None or s[0].is_zero()]
-    movers = [s for s in fam if not (s[0] is None or s[0].is_zero())]
-    assert len(constants) == 14
-    assert len(movers) == 1
+    assert a.shape == b.shape == (15, 21)
+    # 14 constants (a = 0) first, then the one mover
+    assert a.any(axis=1).tolist() == [False] * 14 + [True]
+    assert b.any(axis=1).all()
 
 
 def test_pencil_family_sections_annihilate_everywhere():
     F, G = _fixture(), _cube()
-    fam = pencil_family(F, G, P)
-    zero = Poly.zero("S", 6)
-    for a, b in fam:
-        a = a or zero
-        b = b or zero
+    for ra, rb in zip(*pencil_family(F, G, P)):
+        a = poly_from_vector(ra.tolist(), "S", 6, 2)
+        b = poly_from_vector(rb.tolist(), "S", 6, 2)
         for piece in (contract(a, F), contract(b, G),
                       contract(a, G) + contract(b, F)):
             assert all(c % P == 0 for c in piece.terms.values())
@@ -895,7 +892,6 @@ def test_pencil_report_eliminates_the_fixed_rows_once(monkeypatch):
     # the spot checks, one per prime
     shapes = []
     orig_det, orig_pivot = linalg.det_fp, linalg.pivot_kernel_fp
-    orig_dets = linalg.dets_fp
 
     def det_counted(mat, p):
         shapes.append(("det", np.shape(mat)))
@@ -905,27 +901,20 @@ def test_pencil_report_eliminates_the_fixed_rows_once(monkeypatch):
         shapes.append(("pivot", np.shape(mat)))
         return orig_pivot(mat, p)
 
-    def dets_counted(stack, p):
-        shapes.append(("dets", np.shape(stack)))
-        return orig_dets(stack, p)
-
     monkeypatch.setattr(linalg, "det_fp", det_counted)
     monkeypatch.setattr(linalg, "pivot_kernel_fp", pivot_counted)
-    monkeypatch.setattr(linalg, "dets_fp", dets_counted)
     pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
     assert shapes.count(("det", (120, 120))) == 3
     # (12, 21) and (18, 42) are pencil_family's two kernel_fp calls
     pivots = [shape for kind, shape in shapes if kind == "pivot"]
     assert pivots.count((105, 126)) == 3
     assert set(pivots) == {(105, 126), (6, 21), (16, 32), (12, 21), (18, 42)}
-    # the only stacked calls: the chart units, square 6 x 6 at every node
-    stacks = {shape for kind, shape in shapes if kind == "dets"}
-    assert stacks and all(len(s) == 3 and s[1:] == (6, 6) for s in stacks)
 
 
 def test_pencil_report_reads_no_minor_through_det_fp(monkeypatch):
-    # the chart minors and units of every node come from stacked
-    # eliminations; det_fp runs only the direct spot check, once per prime
+    # the chart minors come from characteristic polynomials and the units
+    # from Leibniz expansions; det_fp runs only the direct spot check, once
+    # per prime
     shapes = []
     orig = linalg.det_fp
 
@@ -939,6 +928,28 @@ def test_pencil_report_reads_no_minor_through_det_fp(monkeypatch):
     assert (6, 6) not in shapes
 
 
+def test_chart_units_are_read_once_per_chart_and_never_sampled(monkeypatch):
+    # each chart of the walk (19 + 11 + 11 evaluations, as in
+    # test_chart_walk_resumes_after_the_carried_chart) expands its unit
+    # once from two 6 x 6 blocks; no unit is sampled, so none interpolated
+    calls, fits = [], []
+    orig = linalg.pencil_det_fp
+
+    def counted(a, b, p):
+        calls.append((p, np.shape(a), np.shape(b)))
+        return orig(a, b, p)
+
+    monkeypatch.setattr(linalg, "pencil_det_fp", counted)
+    monkeypatch.setattr(linalg, "interpolate",
+                        lambda *args: fits.append(args))
+    out = pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
+    assert len(calls) == 41
+    assert {call[1:] for call in calls} == {((6, 6), (6, 6))}
+    assert [[p for p, _, _ in calls].count(q) for q in out["primes"]] == \
+        [19, 11, 11]
+    assert fits == []
+
+
 def _pencil_pair(pair):
     if pair == "worked":
         return _fixture(), _cube()
@@ -947,30 +958,31 @@ def _pencil_pair(pair):
     return random_cubic(seed=21, p=P), waring_sum(8, 0)[0]
 
 
-def _direct_product_matrix(F, G, sections, u):
+def _direct_product_matrix(F, G, family, u):
     # M(u) from the section values at u, built and checked to annihilate
     # u*F + G by ev_product_matrix, independently of the pencil's data
-    values = [poly_from_vector([(u * x + y) % P for x, y in zip(a, b)],
-                               "S", 6, 2) for a, b in sections]
+    values = [poly_from_vector(((u * a + b) % P).tolist(), "S", 6, 2)
+              for a, b in zip(*family)]
     return ev_product_matrix(values, F.scale(u) + G, P)
 
 
 @pytest.mark.parametrize("pair", ["worked", "generic", "waring8"])
 def test_chart_walk_values_equal_the_per_node_minors(monkeypatch, pair):
     # every chart of the first 25 is evaluated on the walk's own data: its
-    # unit samples equal per-node det_fp calls, and each raw polynomial the
-    # walk reads equals the direct 120 x 120 minor at three nodes, none of
-    # them a node of the walk and so none its shift node
+    # unit, at every node of the walk, equals the per-node det_fp of the
+    # witness rows W(u) of the fiber cubic u*F + G, and each raw
+    # polynomial the walk reads equals the direct 120 x 120 minor at three
+    # nodes, none of them a node of the walk and so none its shift node
     F, G = _pencil_pair(pair)
-    fits, raws, kept, walked = [], {}, {}, {}
-    orig_interpolate = linalg.interpolate
+    units, raws, kept, walked = [], {}, {}, {}
+    orig_unit = linalg.pencil_det_fp
     orig_collect = hilbert._collect_node_data
     orig_minor = hilbert._chart_minor
     orig_chart = hilbert._default_chart
 
-    def recording(samples, bound, p):
-        fits.append((bound, [(int(u), int(v)) for u, v in samples]))
-        return orig_interpolate(samples, bound, p)
+    def recording(a, b, p):
+        units.append(orig_unit(a, b, p))
+        return units[-1]
 
     def keeping(*args):
         first, data = orig_collect(*args)
@@ -983,30 +995,32 @@ def test_chart_walk_values_equal_the_per_node_minors(monkeypatch, pair):
 
     def every_chart(fn, n, chart):
         for cand in monomials(6, 3)[:25]:
-            del fits[:]
+            del units[:]
             try:
                 fn(cand)
             except ValueError:
                 pass
-            walked[cand] = list(fits)
+            walked[cand] = list(units)
         return orig_chart(fn, n, chart)
 
-    monkeypatch.setattr(linalg, "interpolate", recording)
+    monkeypatch.setattr(linalg, "pencil_det_fp", recording)
     monkeypatch.setattr(hilbert, "_collect_node_data", keeping)
     monkeypatch.setattr(hilbert, "_chart_minor", minor_kept)
     monkeypatch.setattr(hilbert, "_default_chart", every_chart)
     pencil_profile(F, G, p=P)
-    data = kept["data"]
-    us = data.us.tolist()
+    us = kept["data"].us.tolist()
+    witness = {u: hilbert._witness_rows(linalg.to_fp_matrix(
+        coefficient_vector(F.scale(u) + G, 3), P), 6) for u in us}
     assert len(walked) == 25
-    for cand, chart_fits in walked.items():
+    for cand, chart_units in walked.items():
         cols = hilbert._chart_columns(cand, 6)
-        units = [linalg.det_fp(w[:, cols], P) for w in data.witness]
-        assert chart_fits == [(6, list(zip(us, units)))]
-    sections = hilbert._section_pairs(pencil_family(F, G, P), 6)
+        assert len(chart_units) == 1
+        assert [linalg.poly_eval(chart_units[0], u, P) for u in us] == \
+            [linalg.det_fp(witness[u][:, cols], P) for u in us]
+    family = pencil_family(F, G, P)
     nodes = [12345, 777, 4242424]
     assert not set(nodes) & set(us)
-    matrices = [_direct_product_matrix(F, G, sections, u) for u in nodes]
+    matrices = [_direct_product_matrix(F, G, family, u) for u in nodes]
     assert sum(bool(raw) for raw in raws.values()) > 1
     for dropped, raw in raws.items():
         for u, mat in zip(nodes, matrices):
@@ -1019,10 +1033,10 @@ def test_chart_minor_across_the_fixed_pivots(pair):
     # every cubic chart, whichever of its six columns are pivots of the
     # fixed rows, gives the direct minor at the first node
     F, G = _pencil_pair(pair)
-    sections = hilbert._section_pairs(pencil_family(F, G, P), 6)
-    first, data = hilbert._collect_node_data(F, G, sections,
+    family = pencil_family(F, G, P)
+    first, data = hilbert._collect_node_data(F, G, family,
                                               list(range(1, 99)), P)
-    assert np.array_equal(first, _direct_product_matrix(F, G, sections, 1))
+    assert np.array_equal(first, _direct_product_matrix(F, G, family, 1))
     # a free column's kernel column is a unit vector
     free = (data.kernel != 0).sum(axis=0) == 1
     met = set()

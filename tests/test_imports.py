@@ -1,13 +1,19 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and none that the
+command line runs pulls in ``numpy.random``.
 
 A name imported at the top of a module of ``src/apolar`` must be read
 somewhere in that module; ``__init__.py`` (which imports to re-export) and
-``from __future__ import annotations`` are exempt.
+``from __future__ import annotations`` are exempt.  Importing
+``numpy.random`` costs about 4.5 MB of resident memory, and the package
+draws its random numbers from ``random`` instead.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +38,24 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_module_level_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_cli_runs_never_import_numpy_random():
+    # a fresh interpreter: an earlier test may have imported numpy.random
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from apolar import cli",
+        "F = 'x0*x1*x3 - x0*x4^2 + x1*x2^2 + x2*x4*x5 + x3*x5^2'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(['analyze', F]),",
+        "             cli.main(['pencil', '--f1', F, '--f2', 'x5^3'])]",
+        "print(codes, 'numpy.random' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_an_unused_import_is_found():

@@ -292,10 +292,6 @@ def test_det_rejects_non_square():
         det_bareiss([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         linalg.det_fp([[1, 2, 3], [4, 5, 6]], P)
-    with pytest.raises(ValueError, match="stack of square"):
-        linalg.dets_fp([[[1, 2, 3], [4, 5, 6]]], P)
-    with pytest.raises(ValueError, match="stack of square"):
-        linalg.dets_fp([[1, 2], [3, 4]], P)
 
 
 # square integer matrices up to 24 x 24 with entries up to +-P; a repeated
@@ -315,7 +311,6 @@ def test_det_fp_matches_bareiss_at_word_size(case):
     if repeat:
         m[i] = list(m[j])
     assert linalg.det_fp(m, P) == det_bareiss(m) % P
-    assert linalg.dets_fp([m, m], P) == [det_bareiss(m) % P] * 2
 
 
 @pytest.mark.parametrize("rows,extra", [(1, 1), (2, 3), (3, 2), (4, 3), (5, 1)])
@@ -342,7 +337,7 @@ def test_complementary_minors_from_the_pivot_kernel(rows, extra):
 
 def test_dets_of_a_stack_match_each_matrix_alone():
     # members that lose their pivot at columns 0, 1, 2 and 4, and members
-    # that need a row swap, run in step with the others
+    # that need a row swap
     rng = random.Random(5)
     stack = np.array([[[rng.randrange(P) for _ in range(5)] for _ in range(5)]
                       for _ in range(7)], dtype=np.int64)
@@ -352,10 +347,10 @@ def test_dets_of_a_stack_match_each_matrix_alone():
     stack[4, 4] = stack[4, 0] - stack[4, 2]
     stack[5, 0, 0] = 0
     stack[6, 1, :2] = 2 * stack[6, 0, :2]
-    together = linalg.dets_fp(stack, P)
+    together = [linalg.det_fp(mat, P) for mat in stack]
     lost = []
     for mat, d in zip(stack, together):
-        assert d == linalg.det_fp(mat, P) == det_bareiss(mat.tolist()) % P
+        assert d == det_bareiss(mat.tolist()) % P
         d1, pivots, kern = linalg.pivot_kernel_fp(mat, P)
         assert d1 == d
         assert not linalg.matmul_fp(mat, kern.T, P).any()
@@ -363,8 +358,6 @@ def test_dets_of_a_stack_match_each_matrix_alone():
     assert [bool(d) for d in together] == [True, False, False, False, False,
                                            True, True]
     assert lost == [None, 0, 1, 2, 4, None, None]
-    assert linalg.dets_fp(np.zeros((0, 3, 3), dtype=np.int64), P) == []
-    assert linalg.dets_fp(np.zeros((2, 0, 0), dtype=np.int64), P) == [1, 1]
 
 
 def test_pivot_kernels_of_rectangular_matrices():
@@ -388,8 +381,8 @@ def test_pivot_kernels_of_rectangular_matrices():
 @pytest.mark.parametrize("density", [0.05, 0.15, 0.4])
 def test_pivot_kernels_of_sparse_matrices(density):
     # most rows below a pivot have a zero factor and are left as they are;
-    # determinants still match Bareiss, kernels still annihilate, and a
-    # stack of the leading square blocks still matches each member alone
+    # determinants still match Bareiss, kernels still annihilate, and the
+    # leading square blocks still have their Bareiss determinants
     rng = random.Random(int(density * 100))
     for n, extra in [(8, 0), (20, 0), (30, 5), (12, 9)]:
         stack = np.array([[[rng.randrange(1, P) if rng.random() < density
@@ -402,8 +395,7 @@ def test_pivot_kernels_of_sparse_matrices(density):
             assert d == (det_bareiss(mat[:, pivots].tolist()) % P
                          if len(pivots) == n else 0)
         squares = stack[:, :, :n]
-        assert linalg.dets_fp(squares, P) == \
-            [linalg.det_fp(mat, P) for mat in squares] == \
+        assert [linalg.det_fp(mat, P) for mat in squares] == \
             [det_bareiss(mat.tolist()) % P for mat in squares]
 
 
@@ -522,6 +514,46 @@ def test_charpoly_matches_interpolated_determinants(case):
 def test_charpoly_rejects_non_square():
     with pytest.raises(ValueError, match="non-square"):
         linalg.charpoly_fp([[1, 2, 3], [4, 5, 6]], P)
+
+
+def _pencil_blocks(n):
+    # two n x n blocks with entries up to +-P, a density for sparse
+    # blocks, and a row cleared in both (or None)
+    square = st.lists(st.lists(st.integers(-P, P), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return st.tuples(square, square, st.floats(0, 1),
+                     st.none() | st.integers(0, n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pencil_det_matches_bareiss_at_n_plus_2_nodes(n, data):
+    # det(u a + b) of the Leibniz expansion has degree at most n and
+    # equals the Bareiss determinant at n + 2 values of u; a row that is 0
+    # in both blocks leaves no permutation, and the polynomial is []
+    a, b, density, zero_row = data.draw(_pencil_blocks(n))
+    rng = random.Random(density)
+    a, b = ([[x if rng.random() < density else 0 for x in row] for row in m]
+            for m in (a, b))
+    if zero_row is not None:
+        a[zero_row], b[zero_row] = [0] * n, [0] * n
+    coeffs = linalg.pencil_det_fp(a, b, P)
+    assert len(coeffs) <= n + 1 and all(0 <= c < P for c in coeffs)
+    assert not coeffs or coeffs[-1]
+    if zero_row is not None:
+        assert coeffs == []
+    for u in range(-1, n + 1):
+        pencil = [[u * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert linalg.poly_eval(coeffs, u, P) == det_bareiss(pencil) % P
+
+
+def test_pencil_det_rejects_unequal_or_non_square_blocks():
+    rect = [[1, 2, 3], [4, 5, 6]]
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.pencil_det_fp(rect, rect, P)
+    with pytest.raises(ValueError, match="unequal"):
+        linalg.pencil_det_fp([[1, 2], [3, 4]], [[1]], P)
 
 
 def test_restrict_kernel_matches_stacked_kernel():
