@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -137,8 +138,7 @@ def _build_parser() -> _Parser:
                             "e.g. 't*x1^2 + x1*x2'")
     p_fam.add_argument("--samples", default="0,1,2,3,4", metavar="T0,T1,...",
                        help="comma-separated integer parameter values "
-                            "(default %(default)s); write --samples=-1,0,1 "
-                            "when the first value is negative")
+                            "(default %(default)s)")
     _add_field(p_fam, "q")
     _add_common(p_fam)
     p_fam.set_defaults(func=_cmd_family)
@@ -276,6 +276,11 @@ def _cmd_family(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse takes a list that starts with "-" for a flag
+        if argv[i - 1] == "--samples" and re.fullmatch(r"-\d[\d,-]*", argv[i]):
+            argv[i - 1:i + 1] = ["--samples=" + argv[i]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

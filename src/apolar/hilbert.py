@@ -30,13 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import apolarity, linalg
 from .linalg import seeded_rng
 from .apolarity import (
     _products,
     ann_degree,
     catalecticant,
-    is_nondegenerate_cubic,
     shift_table,
 )
 from .poly import (
@@ -57,6 +56,9 @@ VERDICT_DEGENERATE = "Degenerate"
 # full rank mod p proves full rank over Q, never the other way round
 _CERT_PRIME = next(linalg._solver_primes())
 
+# unused here; perfbench/selftest.py checks that its tracer rebinds it
+is_nondegenerate_cubic = apolarity.is_nondegenerate_cubic
+
 
 def _reduces_mod(q: int, forms) -> bool:
     """Whether every form has a reduction mod q, i.e. q divides none of
@@ -65,18 +67,20 @@ def _reduces_mod(q: int, forms) -> bool:
                for f in forms for c in f.terms.values())
 
 
-def _cert_prime(F: Poly) -> int:
-    """The first prime of the fixed stream :func:`linalg._solver_primes`
-    (``_CERT_PRIME`` unless F forbids it) at which F reduces to a
-    nondegenerate cubic.
+def _cert_prime(F: Poly) -> _Slices:
+    """The slices of F at the first prime of the fixed stream
+    :func:`linalg._solver_primes` (``_CERT_PRIME`` unless F forbids it)
+    at which F reduces to a nondegenerate cubic (h = n on those slices).
 
     The certificates are sound only where the Hilbert function does not
     drop under reduction, which for a cubic is exactly nondegeneracy mod q;
     a prime dividing a denominator of F has no reduction at all.
     """
     for q in linalg._solver_primes():
-        if _reduces_mod(q, [F]) and is_nondegenerate_cubic(F, q):
-            return q
+        if _reduces_mod(q, [F]):
+            slices = _Slices(F, q)
+            if slices.h == F.n:
+                return slices
 
 
 def draw_primes(n_primes: int, seed: int, *forms: Poly) -> list[int]:
@@ -108,8 +112,7 @@ def _witness_rows(fvec: np.ndarray, n: int, degree: int = 3) -> np.ndarray:
 
     x_j (dp-times) x^m = (m_j + 1) x^(m + e_j), so row j places
     (m_j + 1) * fvec[m] at the index of m + e_j.  The rows keep the dtype
-    of ``fvec``: object arrays stay exact (ints or Fractions, with Python
-    int multiplicities), int64 residues are left unreduced.
+    of ``fvec``; int64 residues are left unreduced.
     """
     mult = np.array(monomials(n, degree), dtype=fvec.dtype) + 1
     table = shift_table(n, 1, degree)
@@ -126,7 +129,9 @@ def _degree_pairs(d: int) -> list[tuple[int, int]]:
 
 def _product_blocks(d: int, slices):
     """The product blocks spanning (I^2)_d, one per basis operator of the
-    lower factor, in the field of ``slices``.  Over Q the slices are
+    lower factor, in the field of ``slices``.  For a = b the lower row i
+    meets only the upper rows j >= i (x_i x_j = x_j x_i), so degree 4 is
+    the 120 x 126 matrix of the distinct products.  Over Q the slices are
     primitive integer rows, and the products stay in int64 when they fit
     (a sum of at most 56 products), else Python ints."""
     n = slices.F.n
@@ -138,8 +143,9 @@ def _product_blocks(d: int, slices):
                 1 if upper is None else linalg._bits(upper)) > 56:
             lower = lower.astype(object)
             upper = None if upper is None else upper.astype(object)
-        for pvec in lower:
-            yield _products(pvec[None], upper, a, b, n)[0]
+        for i, pvec in enumerate(lower):
+            yield _products(pvec[None], upper[i:] if a == b else upper,
+                            a, b, n)[0]
 
 
 @dataclass
@@ -152,8 +158,8 @@ class _Slices:
     their kernels stay in integers.  The degree-2 slice also gives the
     Hilbert function (:attr:`h`).  ``perps`` holds the perps computed so
     far over the same field, by degree; over Q, ``cert`` holds the slices
-    at the certificate prime (set by :func:`_checked_slices`), with the
-    perps there in ``cert.perps``.
+    at the certificate prime (:func:`_cert_prime`, set by
+    :func:`_checked_slices`), with the perps there in ``cert.perps``.
     """
 
     F: Poly
@@ -195,7 +201,7 @@ def _checked_slices(slices: _Slices) -> _Slices:
     if F.is_zero() or F.degree() != 3 or slices.h != F.n:
         raise ValueError("squared-ideal analysis needs a nondegenerate cubic")
     if p is None:
-        slices.cert = _Slices(F, _cert_prime(F))
+        slices.cert = _cert_prime(F)
     return slices
 
 
@@ -209,16 +215,10 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     (and F's nondegeneracy check with them), and the perps computed so
     far, one computation per degree.
 
-    Over the rationals the perp dimension is first bounded by the perp
-    at a certificate prime q at which F stays nondegenerate (this
-    function mod q); reduction can only enlarge a perp, so that bound
-    holds over Q.  A zero bound is then the rational answer.  In degree 4
-    a bound of 6 is met by the six vectors x_i (dp-times) F, checked
-    exactly to lie in the perp (their integer pairings with the distinct
-    products of the I_2 rows, :func:`_pair_rows`, vanish) and to be
-    independent, so their span is the perp.  Otherwise the stacked
-    product blocks, built from the slices scaled to integer rows, go to
-    the p-adic solver :func:`linalg.kernel_q`.
+    Over the rationals (the reference basis; the analysis reads only
+    :func:`_perp_dim`) a zero perp at the certificate prime gives the
+    empty basis, and otherwise the stacked product blocks, built from the
+    slices scaled to integer rows, go to :func:`linalg.kernel_q`.
 
     Raises ValueError for a degree outside 4..7, p <= 7, a modulus that is
     not prime, or a degenerate cubic.
@@ -229,7 +229,11 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     if p is not None:
         return _perp_fp(F, d, slices)
     if d not in slices.perps:
-        slices.perps[d] = _square_perp_basis_q(F, d, slices)
+        kern = []
+        if square_perp_basis(F, d, slices.cert.p, slices.cert).dim:
+            kern = linalg.kernel_q(np.vstack(list(_product_blocks(d, slices))))
+        slices.perps[d] = linalg.SubspaceBasis(
+            "P", d, F.n, dim_degree(F.n, d), None, kern)
     return slices.perps[d]
 
 
@@ -288,24 +292,12 @@ def _cut_space(space: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
     return space
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
-    """a @ b mod p (:func:`linalg.matmul_fp`), or exactly for integer
-    arrays over Q: in int64 while the entries leave room for the sum along
-    the shared dimension, else in Python ints."""
-    if p is not None:
-        return linalg.matmul_fp(a, b, p)
-    if a.dtype == object or b.dtype == object or linalg._bits(a) \
-            + linalg._bits(b) + a.shape[-1].bit_length() > 62:
-        return a.astype(object) @ b.astype(object)
-    return a @ b
-
-
 def _pair_rows(vecs: np.ndarray, a: int, b: int, slices: _Slices,
                start: int = 0, stop: int | None = None) -> np.ndarray:
-    """The pairing <x y, v> of the products x y of the rows ``start:stop``
-    of the degree-a slice with the degree-b slice (all of S_b above the
-    cubic's degree) with every row v of ``vecs``, mod p, or exactly over Q
-    for integer ``vecs``: one row per distinct product, one column per v.
+    """The pairing <x y, v> mod p of the products x y of the rows
+    ``start:stop`` of the degree-a slice with the degree-b slice (all of
+    S_b above the cubic's degree) with every row v of ``vecs``: one row
+    per distinct product, one column per v.
 
     <x y, v> = x . C_v . y, with C_v the catalecticant gather of v, so no
     product block is formed.  For a = b, x_i x_j = x_j x_i, so only the
@@ -313,49 +305,49 @@ def _pair_rows(vecs: np.ndarray, a: int, b: int, slices: _Slices,
     :func:`ev_product_matrix`; the rows run over x first, then y."""
     n, p = slices.F.n, slices.p
     lower = slices(a)[start:stop]
-    pair = _matmul(lower, vecs[:, shift_table(n, a, b)], p)
+    pair = linalg.matmul_fp(lower, vecs[:, shift_table(n, a, b)], p)
     if b <= 3:
-        pair = _matmul(pair, slices(b).T, p)
+        pair = linalg.matmul_fp(pair, slices(b).T, p)
     first = np.arange(start, start + len(lower))[:, None]
     return pair[:, (first <= np.arange(pair.shape[2])) | (a != b)].T
 
 
-def _square_perp_basis_q(F, d, slices):
-    n, dim_d = F.n, dim_degree(F.n, d)
-    mod_dim = square_perp_basis(F, d, slices.cert.p, slices.cert).dim
-    if mod_dim == 0:
-        return linalg.SubspaceBasis("P", d, n, dim_d, None, [])
-    if d == 4 and mod_dim == n:
-        # F scaled to integers spans the same witnesses, so their pairings
-        # with the products of the integer I_2 rows, degree 4's one pair
-        # (2, 2), stay in integers; the witness multiplicities go up to 4
-        fvec = linalg.integer_rows([coefficient_vector(F, 3)])[0]
-        if linalg._bits(fvec) >= 60:
-            fvec = fvec.astype(object)
-        witness = _witness_rows(fvec, n)
-        if not _pair_rows(witness, 2, 2, slices).any():
-            basis = linalg.span(witness, "P", d, n, dim_d)
-            if basis.dim == n:
-                return basis
-    kern = linalg.kernel_q(np.vstack(list(_product_blocks(d, slices))))
-    return linalg.SubspaceBasis("P", d, n, dim_d, None, kern)
+def _perp_dim(F: Poly, d: int, slices: _Slices) -> int:
+    """Dimension of the degree-d perp over the field of checked ``slices``.
+
+    Mod p it is read from :func:`square_perp_basis`.  Over Q the perp at
+    the certificate prime bounds it from above (reduction can only enlarge
+    a perp), and the floor from below: dim P_4 minus the k(k + 1)/2
+    distinct products of the k = dim I_2 quadrics in degree 4 (126 - 120),
+    0 above.  Where they meet, that is the dimension; else dim P_d minus
+    the verified rank (:func:`linalg.rank_q`) of the product blocks.
+    """
+    if slices.p is not None:
+        return square_perp_basis(F, d, slices.p, slices).dim
+    dim_d = dim_degree(F.n, d)
+    bound = square_perp_basis(F, d, slices.cert.p, slices.cert).dim
+    k = len(slices(2))
+    floor = max(dim_d - k * (k + 1) // 2, 0) if d == 4 else 0
+    if bound == floor:
+        return bound
+    return dim_d - linalg.rank_q(np.vstack(list(_product_blocks(d, slices))))
 
 
 def perp_dimensions(F: Poly, p: int | None = None) -> dict[int, int]:
     """Dimensions of the degree-4..7 perps of the squared ideal, mod p or
-    over Q (certified as described on :func:`square_perp_basis`).
+    over Q (proved as described on :func:`_perp_dim`).
 
     The annihilator slices, the perps of each degree, and the check that
     F is a nondegenerate cubic are shared across degrees.
     """
     slices = _checked_slices(_Slices(F, p))
-    return {d: square_perp_basis(F, d, p, slices).dim for d in (4, 5, 6, 7)}
+    return {d: _perp_dim(F, d, slices) for d in (4, 5, 6, 7)}
 
 
 def perp4_dim(F: Poly, p: int | None = None) -> int:
     """Dimension of the degree-4 perp of the squared ideal (6 generically,
     larger exactly on the divisor E)."""
-    return square_perp_basis(F, 4, p).dim
+    return _perp_dim(F, 4, _checked_slices(_Slices(F, p)))
 
 
 def ev_product_matrix(quadric_basis: list[Poly], F: Poly, p: int | None = None):
@@ -428,7 +420,7 @@ def _analyze_once(F: Poly, p: int | None):
     if h != F.n:
         return hf, dim2, {}, None, None
     _checked_slices(slices)
-    perps = {d: square_perp_basis(F, d, p, slices).dim for d in (4, 5, 6, 7)}
+    perps = {d: _perp_dim(F, d, slices) for d in (4, 5, 6, 7)}
     tangent = 70 + sum(perps.values())
     return hf, dim2, perps, tangent, perps[4] > 6
 
@@ -537,36 +529,32 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> tuple[np.ndarray, np.ndarray]:
     taken modulo the constants.  The section values at any parameter with
     a 15-dimensional annihilator slice span that slice exactly.
 
-    The constants come from one kernel, of both transposed degree-2
-    catalecticants stacked: canonical RREF rows of the common annihilator
-    slice, whose pivots are the first nonzero entry of each row.  The
-    movers are the rows of one RREF of the constants (in both halves) and
-    the solutions together whose pivot is not a pivot of the constants: a
-    subspace's pivots are among its superspace's, so these rows are the
-    RREF of the solutions modulo the constants."""
+    One RREF kernel gives both: the solutions (a, b), which contain (c, 0)
+    and (0, c) for every constant c.  Its rows with a pivot in the b half
+    are the (0, c), the constants in RREF.  A subspace's pivots are among
+    its superspace's, so its rows with a pivot in the a half that is not
+    a pivot of the constants are the RREF of the solutions modulo the
+    constants: the movers."""
     dim2 = dim_degree(F1.n, 2)
-    t1 = catalecticant(F1, 2, p)
-    t2 = catalecticant(F2, 2, p)
-    constants = linalg.kernel_fp(np.vstack([t1.T, t2.T]), p)
-    zero = np.zeros_like(t1.T)
-    rows = np.vstack([
-        np.hstack([t1.T, zero]),
-        np.hstack([zero, t2.T]),
-        np.hstack([t2.T, t1.T]),
-    ])
-    solutions = linalg.kernel_fp(rows, p)
-    zc = np.zeros_like(constants)
-    cc = np.vstack([np.hstack([constants, zc]), np.hstack([zc, constants])])
-    fixed = set((cc != 0).argmax(axis=1).tolist())
-    red, _, pivots = linalg.rref_fp(np.vstack([cc, solutions]), p)
-    movers = red[[i for i, c in enumerate(pivots) if c not in fixed]]
+    t1 = catalecticant(F1, 2, p).T
+    t2 = catalecticant(F2, 2, p).T
+    zero = np.zeros_like(t1)
+    solutions = linalg.kernel_fp(np.vstack([
+        np.hstack([t1, zero]),
+        np.hstack([zero, t2]),
+        np.hstack([t2, t1]),
+    ]), p)
+    pivots = (solutions != 0).argmax(axis=1)
+    constants = solutions[pivots >= dim2, dim2:]
+    movers = solutions[(pivots < dim2)
+                       & ~np.isin(pivots, pivots[pivots >= dim2] - dim2)]
     if len(constants) + len(movers) != 15:
         raise ValueError(
             "pencil family has %d constants + %d movers, expected 15 total"
             % (len(constants), len(movers)))
     if not len(movers):
         raise ValueError("pencil does not move (endpoints share all quadrics)")
-    return (np.vstack([zc, movers[:, :dim2]]),
+    return (np.vstack([np.zeros_like(constants), movers[:, :dim2]]),
             np.vstack([constants, movers[:, dim2:]]))
 
 

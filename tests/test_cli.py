@@ -284,12 +284,14 @@ def test_family_jump(capsys):
 
 
 def test_family_negative_samples_in_the_equals_form(capsys):
-    # "--samples -1,0,1" reads as a flag to argparse; the = form does not
-    code, out, _ = _run(capsys, "family", "t*x1", "--samples=-1,0,1",
-                        "--json", "-")
-    assert code == 0
-    doc = json.loads(out[out.index("{"):])
-    assert doc["lengths"] == {"-1": 2, "0": 1, "1": 2}
+    # a comma-separated integer list that starts with "-" is the value of
+    # --samples in both forms, not a flag
+    for samples in (["--samples=-1,0,1"], ["--samples", "-1,0,1"]):
+        code, out, _ = _run(capsys, "family", "t*x1", *samples, "--json", "-")
+        assert code == 0
+        doc = json.loads(out[out.index("{"):])
+        assert doc["samples"] == [-1, 0, 1]
+        assert doc["lengths"] == {"-1": 2, "0": 1, "1": 2}
 
 
 def test_family_fp_skips_a_prime_in_a_denominator(capsys):
@@ -313,6 +315,10 @@ def test_family_bad_samples(capsys):
     assert code == 64
     code, _, err = _run(capsys, "family", "t*x1", "--samples", "")
     assert code == 64
+    # a value starting with "-" is taken only as an integer list
+    for argv in (["--samples"], ["--samples", "-x"], ["--samples", "-1,x"],
+                 ["--samples", "-1-2"], ["--samples", "-1,0", "--nosuch"]):
+        assert _run(capsys, "family", "t*x1", *argv)[0] == 64
 
 
 def test_unknown_subcommand(capsys):

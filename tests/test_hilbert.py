@@ -42,6 +42,7 @@ from apolar.poly import (
     mul_s,
     parse_poly,
     poly_from_vector,
+    waring_cube,
 )
 from support import fiber_equivalence, fiber_point
 
@@ -80,7 +81,8 @@ def test_square_perp_dims_fixture_rational():
 
 
 def test_rational_perp4_runs_one_certificate_prime_perp(monkeypatch):
-    # the certificate-prime bound is the exact modular perp at that prime
+    # the certificate-prime bound is the exact modular perp at that prime,
+    # and no rational basis is built for a dimension
     primes = []
     orig = hilbert.square_perp_basis
 
@@ -90,7 +92,7 @@ def test_rational_perp4_runs_one_certificate_prime_perp(monkeypatch):
 
     monkeypatch.setattr(hilbert, "square_perp_basis", counted)
     assert perp4_dim(sum_of_cubes()) == 36
-    assert primes == [None, hilbert._CERT_PRIME]
+    assert primes == [hilbert._CERT_PRIME]
 
 
 def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
@@ -106,17 +108,17 @@ def test_rational_perp_checks_and_slices_once_per_field(monkeypatch):
         monkeypatch.setattr(hilbert, name, counted)
     assert perp_dimensions(random_cubic(0)) == {4: 6, 5: 0, 6: 0, 7: 0}
     q = hilbert._CERT_PRIME
-    # one rational perp and one certificate-prime perp per degree, and the
-    # rational degree-4 certificate pairs the six witnesses once; every
-    # other pairing runs at the certificate prime
+    # off E the certificate-prime bound meets the floor in every degree:
+    # one certificate-prime perp per degree, no rational perp, and every
+    # pairing runs at the certificate prime
     assert [args[:2] for args in calls["square_perp_basis"]] == \
-        [(d, r) for d in (4, 5, 6, 7) for r in (None, q)]
-    assert [(a, b, start) for a, b, s, *start in calls["_pair_rows"]
-            if s.p is None] == [(2, 2, [])]
-    assert {s.p for _, _, s, *_ in calls["_pair_rows"]} == {q, None}
-    # nondegeneracy over Q is read from the rational I_2, and only then
-    # is the certificate prime checked and its slices built
-    assert calls["is_nondegenerate_cubic"] == [(q,)]
+        [(d, q) for d in (4, 5, 6, 7)]
+    assert calls["_pair_rows"]
+    assert {s.p for _, _, s, *_ in calls["_pair_rows"]} == {q}
+    # nondegeneracy over Q is read from the rational I_2, and only then are
+    # the certificate prime's slices built, its nondegeneracy read from
+    # its own I_2: no rank is taken
+    assert calls["is_nondegenerate_cubic"] == []
     assert calls["ann_degree"] == [(2, None), (2, q), (3, q)]
 
 
@@ -193,7 +195,7 @@ def test_certificate_primes_follow_the_solver_stream():
     assert hilbert._CERT_PRIME == stream[0]
     F, skipped = _fixture(), 1
     for q in stream:
-        assert hilbert._cert_prime(F.scale(Fraction(1, skipped))) == q
+        assert hilbert._cert_prime(F.scale(Fraction(1, skipped))).p == q
         skipped *= q
 
 
@@ -277,8 +279,8 @@ def test_rational_analysis_runs_each_rank_once(monkeypatch):
     # the one rank is random_cubic's nondegeneracy check: the analysis
     # reads the Hilbert function and nondegeneracy from the I_2 kernel,
     # ev_product_matrix checks annihilation with one product, not a rank
-    # of the 15 contractions, and the witness span of the degree-4
-    # certificate needs no separate rank
+    # of the 15 contractions, and off E the certificate-prime bound of
+    # each perp meets its floor, so no perp needs a rank
     calls = []
     orig = linalg.rank_q
 
@@ -294,38 +296,103 @@ def test_rational_analysis_runs_each_rank_once(monkeypatch):
 
 
 def test_rational_certificate_products_are_integers(monkeypatch):
-    # the degree-4 certificate pairs F scaled to integers with the I_2 rows
-    # scaled to integers, so its check never touches a Fraction
-    seen = []
-    orig = hilbert._pair_rows
+    # on E the one rational rank is of the 120 x 126 distinct products of
+    # the I_2 rows scaled to integers, so it never touches a Fraction; off
+    # E no rational product block is formed at all, and the only rational
+    # solve is the I_2 kernel of the 6 x 21 catalecticant
+    on_e, off_e = waring_sum(9, 0)[0], random_cubic(3)
+    ranks, kernels, blocks = [], [], []
+    orig_rank, orig_kernel = linalg.rank_q, linalg.kernel_q
+    orig_blocks = hilbert._product_blocks
 
-    def recording(vecs, a, b, slices, *chunk):
-        out = orig(vecs, a, b, slices, *chunk)
+    def ranked(mat):
+        ranks.append(mat)
+        return orig_rank(mat)
+
+    def solved(mat):
+        kernels.append(np.shape(mat))
+        return orig_kernel(mat)
+
+    def formed(d, slices):
         if slices.p is None:
-            seen.append((vecs, (a, b), slices(2), out))
-        return out
+            blocks.append(d)
+        return orig_blocks(d, slices)
 
-    monkeypatch.setattr(hilbert, "_pair_rows", recording)
-    assert analyze(random_cubic(3), field_kind="q").tangent_dim == 76
-    ((vecs, pair, quadrics, pairs),) = seen
-    assert pair == (2, 2) and vecs.shape == (6, 126) \
-        and quadrics.shape == (15, 21) and pairs.shape == (120, 6)
+    monkeypatch.setattr(linalg, "rank_q", ranked)
+    monkeypatch.setattr(linalg, "kernel_q", solved)
+    monkeypatch.setattr(hilbert, "_product_blocks", formed)
+    assert analyze(off_e, field_kind="q").tangent_dim == 76
+    assert ranks == blocks == [] and kernels == [(6, 21)]
+    assert analyze(on_e, field_kind="q").perp_dims == \
+        {4: 15, 5: 0, 6: 0, 7: 0}
+    assert blocks == [4]
+    (mat,) = ranks
     # int64 where the entries fit, Python ints where they do not (the I_2
-    # rows of this cubic reach 81 bits)
-    for arr in (vecs, quadrics, pairs):
-        assert arr.dtype == np.int64 or {type(c) for c in arr.ravel()} == {int}
-    assert not pairs.any()
+    # rows of this cubic reach 238 bits)
+    assert mat.shape == (120, 126)
+    assert mat.dtype == np.int64 or {type(c) for c in mat.ravel()} == {int}
+    qs = [poly_from_vector(r, "S", 6, 2) for r in
+          linalg.integer_rows(ann_degree(on_e, 2).rows).tolist()]
+    assert mat.tolist() == ev_product_matrix(qs, on_e).tolist()
 
 
 def test_rational_pairings_leave_int64_when_they_must():
-    # a 60-bit coefficient moves the witnesses, and with them the
-    # pairings, to Python ints; the certificate still agrees with mod p
+    # a 60-bit coefficient moves the I_2 rows, and with them the product
+    # blocks, to Python ints; the dimensions still agree with mod p
     F = _fixture() + Poly.monomial("P", 6, (3, 0, 0, 0, 0, 0), (1 << 60) - 1)
     assert perp_dimensions(F) == perp_dimensions(F, P)
-    a = np.array([[1 << 40, 1]], dtype=np.int64)
-    exact = hilbert._matmul(a, a.T, None)
-    assert exact.dtype == object and exact[0, 0] == (1 << 80) + 1
-    assert hilbert._matmul(a % P, a.T % P, P)[0, 0] == ((1 << 80) + 1) % P
+    for G, wide in ((_fixture(), False), (F, True)):
+        slices = hilbert._checked_slices(hilbert._Slices(G, None))
+        assert (linalg._bits(slices(2)) > 28) == wide
+        first = next(hilbert._product_blocks(4, slices))
+        assert (first.dtype == object) == wide
+        qs = [poly_from_vector(r, "S", 6, 2) for r in slices(2).tolist()]
+        assert first.tolist() == [coefficient_vector(mul_s(qs[0], q), 4)
+                                  for q in qs]
+
+
+def _small_waring(k):
+    """A sum of k dp-cubes of points with coordinates in {-1, 0, 1}, any
+    six of them independent (k <= 9 puts it on E)."""
+    rng = random.Random("small-waring:%d" % k)
+    while True:
+        pts = [tuple(rng.choice((-1, 0, 1)) for _ in range(6))
+               for _ in range(k)]
+        if all(linalg.det_fp(six, P)
+               for six in itertools.combinations(pts, 6)):
+            return functools.reduce(Poly.__add__, map(waring_cube, pts))
+
+
+@pytest.mark.parametrize("make", [sum_of_cubes] + [
+    functools.partial(_small_waring, k) for k in (6, 7, 8, 9)] + [
+    functools.partial(random_cubic, seed) for seed in (0, 3)],
+    ids=["cubes", "waring6", "waring7", "waring8", "waring9", "random0",
+         "random3"])
+def test_rational_perp_dims_equal_the_reference_basis(monkeypatch, make):
+    # the dimension over Q is the certificate-prime bound where it meets
+    # the floor (6 in degree 4, 0 above), else dim P_d minus one verified
+    # rank; rank_q runs exactly in the degrees where the bound is above
+    # the floor, so never off E
+    F = make()
+    ranked = []
+    orig = linalg.rank_q
+
+    def counted(mat):
+        ranked.append(len(mat))
+        return orig(mat)
+
+    slices = hilbert._checked_slices(hilbert._Slices(F, None))
+    monkeypatch.setattr(linalg, "rank_q", counted)
+    dims = {d: hilbert._perp_dim(F, d, slices) for d in (4, 5, 6, 7)}
+    monkeypatch.setattr(linalg, "rank_q", orig)
+    bounds = {d: square_perp_basis(F, d, slices.cert.p, slices.cert).dim
+              for d in (4, 5, 6, 7)}
+    assert dims == {d: square_perp_basis(F, d).dim for d in (4, 5, 6, 7)}
+    on_e = [d for d in (4, 5, 6, 7) if bounds[d] > (6 if d == 4 else 0)]
+    assert (on_e != []) == (dims[4] > 6)
+    # one rank per such degree, of the stacked product blocks
+    assert ranked == [len(np.vstack(list(hilbert._product_blocks(d, slices))))
+                      for d in on_e]
 
 
 # an integer change of variables with entries in [-2, 2], det -66
@@ -767,8 +834,8 @@ def test_pencil_family_fixture_counts(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_fp", counted)
     F, G = _fixture(), _cube()
     a, b = pencil_family(F, G, P)
-    # one kernel for the common annihilators, one for the sections
-    assert kernels == [P, P]
+    # one kernel gives the sections, and the common annihilators with them
+    assert kernels == [P]
     assert a.shape == b.shape == (15, 21)
     # 14 constants (a = 0) first, then the one mover
     assert a.any(axis=1).tolist() == [False] * 14 + [True]
@@ -905,10 +972,10 @@ def test_pencil_report_eliminates_the_fixed_rows_once(monkeypatch):
     monkeypatch.setattr(linalg, "pivot_kernel_fp", pivot_counted)
     pencil_report(_fixture(), _cube(), n_primes=3, seed=0)
     assert shapes.count(("det", (120, 120))) == 3
-    # (12, 21) and (18, 42) are pencil_family's two kernel_fp calls
+    # (18, 42) is pencil_family's one kernel_fp call
     pivots = [shape for kind, shape in shapes if kind == "pivot"]
     assert pivots.count((105, 126)) == 3
-    assert set(pivots) == {(105, 126), (6, 21), (16, 32), (12, 21), (18, 42)}
+    assert set(pivots) == {(105, 126), (6, 21), (16, 32), (18, 42)}
 
 
 def test_pencil_report_reads_no_minor_through_det_fp(monkeypatch):
