@@ -109,20 +109,19 @@ def catalecticant(F: Poly, r: int, p: int | None = None):
     return _coefficients(F, d, p)[shift_table(F.n, r, d - r)]
 
 
-def ann_degree(F: Poly, r: int, p: int | None = None) -> linalg.SubspaceBasis:
-    """Degree-r slice of the annihilator ideal of F, as a subspace of S_r.
+def ann_degree(F: Poly, r: int, p: int | None = None) -> list:
+    """Degree-r slice of the annihilator ideal of F: its RREF rows in the
+    monomial coordinates of S_r, ints mod p or Fractions over Q, one row
+    per dimension.
 
-    For r beyond the degree of F this is all of S_r.
+    For r beyond the degree of F this is all of S_r (the identity rows).
     """
     _require_form(F)
-    n = F.n
-    ncols = dim_degree(n, r)
+    ncols = dim_degree(F.n, r)
     d = 0 if F.is_zero() else F.degree()
     if F.is_zero() or r > d:
-        eye = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-        return linalg.SubspaceBasis("S", r, n, ncols, p, eye)
-    rows = linalg.kernel(catalecticant(F, r, p).T, p)
-    return linalg.SubspaceBasis("S", r, n, ncols, p, rows)
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    return linalg.kernel(catalecticant(F, r, p).T, p)
 
 
 def hilbert_function(F: Poly, p: int | None = None) -> tuple[int, ...]:

@@ -40,17 +40,12 @@ def _coeff(rng, p: int | None) -> int:
     return rng.randrange(-_COEFF_BOUND, _COEFF_BOUND + 1)
 
 
-def pluecker_pairs() -> list[tuple[int, int]]:
-    """Index pairs (a, b), a < b, naming the 15 pair coordinates."""
-    return list(_PAIRS)
-
-
 def pluecker_quadrics() -> list[Poly]:
     """The 15 three-term relations cutting out the plane Grassmannian.
 
     One relation per 4-subset {a < b < c < d} of the six indices:
     p_ab p_cd - p_ac p_bd + p_ad p_bc, written in the S-ring on the 15
-    pair coordinates ordered as in :func:`pluecker_pairs`.
+    pair coordinates ordered as in ``_PAIRS``.
     """
     idx = {pair: k for k, pair in enumerate(_PAIRS)}
     quads = []

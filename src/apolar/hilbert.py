@@ -170,7 +170,7 @@ class _Slices:
 
     def __call__(self, r: int) -> np.ndarray:
         if r not in self.cache:
-            rows = ann_degree(self.F, r, self.p).rows
+            rows = ann_degree(self.F, r, self.p)
             self.cache[r] = linalg.integer_rows(rows) if self.p is None \
                 else linalg.field_array(rows, self.p)
         return self.cache[r]
@@ -206,9 +206,10 @@ def _checked_slices(slices: _Slices) -> _Slices:
 
 
 def square_perp_basis(F: Poly, d: int, p: int | None = None,
-                      slices: _Slices | None = None) -> linalg.SubspaceBasis:
+                      slices: _Slices | None = None) -> list:
     """Canonical (RREF) basis of the degree-d perp of the squared
-    annihilator ideal.
+    annihilator ideal: its rows in the monomial coordinates of P_d, ints
+    mod p or Fractions over Q, one row per dimension.
 
     Mod p (p > 7) the perp comes from :func:`_perp_fp`.  ``slices``
     carries the annihilator slices of F over the same field across calls
@@ -229,15 +230,13 @@ def square_perp_basis(F: Poly, d: int, p: int | None = None,
     if p is not None:
         return _perp_fp(F, d, slices)
     if d not in slices.perps:
-        kern = []
-        if square_perp_basis(F, d, slices.cert.p, slices.cert).dim:
-            kern = linalg.kernel_q(np.vstack(list(_product_blocks(d, slices))))
-        slices.perps[d] = linalg.SubspaceBasis(
-            "P", d, F.n, dim_degree(F.n, d), None, kern)
+        bound = square_perp_basis(F, d, slices.cert.p, slices.cert)
+        slices.perps[d] = linalg.kernel_q(np.vstack(list(
+            _product_blocks(d, slices)))) if bound else []
     return slices.perps[d]
 
 
-def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
+def _perp_fp(F: Poly, d: int, slices: _Slices) -> list:
     """The degree-d perp mod p (p > 7), kept in ``slices.perps``.
 
     A perp vector g has every a_j ∘ g in the perp of degree d - 1 (the
@@ -256,16 +255,15 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> linalg.SubspaceBasis:
             space = np.eye(dim_d, dtype=np.int64)
         else:
             prev = _perp_fp(F, d - 1, slices)
-            if not prev.dim:
-                slices.perps[d] = linalg.SubspaceBasis("P", d, n, dim_d, p, [])
+            if not prev:
+                slices.perps[d] = []
                 return slices.perps[d]
             red, rank, _ = linalg.rref_fp(
-                _witness_rows(np.array(prev.rows, dtype=np.int64), n, d - 1)
+                _witness_rows(np.array(prev, dtype=np.int64), n, d - 1)
                 .reshape(-1, dim_d), p)
             space = red[:rank]
-        slices.perps[d] = linalg.SubspaceBasis(
-            "P", d, n, dim_d, p,
-            linalg.rref_fp(_cut_space(space, d, slices), p)[0].tolist())
+        slices.perps[d] = \
+            linalg.rref_fp(_cut_space(space, d, slices), p)[0].tolist()
     return slices.perps[d]
 
 
@@ -323,9 +321,9 @@ def _perp_dim(F: Poly, d: int, slices: _Slices) -> int:
     the verified rank (:func:`linalg.rank_q`) of the product blocks.
     """
     if slices.p is not None:
-        return square_perp_basis(F, d, slices.p, slices).dim
+        return len(square_perp_basis(F, d, slices.p, slices))
     dim_d = dim_degree(F.n, d)
-    bound = square_perp_basis(F, d, slices.cert.p, slices.cert).dim
+    bound = len(square_perp_basis(F, d, slices.cert.p, slices.cert))
     k = len(slices(2))
     floor = max(dim_d - k * (k + 1) // 2, 0) if d == 4 else 0
     if bound == floor:

@@ -5,8 +5,8 @@ Elimination runs mod p only, on 2-D int64 working arrays of residues
 int64 even after summing along the longest shared dimension used in this
 package (792), so the modular code is exact in machine integers.  One
 Gauss-Jordan body (:func:`_rref`) and one kernel construction
-(:func:`pivot_kernel_fp`) serve every caller; ``rref``, ``rank`` and
-``kernel`` are the field switch.  The ``_fp`` entry points return int64
+(:func:`pivot_kernel_fp`) serve every caller; ``rank`` and ``kernel``
+are the field switch.  The ``_fp`` entry points return int64
 arrays, the ``_q`` ones lists of Fraction rows.  Both fields take one
 input contract: ints (Python or numpy) and Fractions, anything else is a
 TypeError.
@@ -46,11 +46,11 @@ Many residues are inverted at once by Montgomery's trick
 (:func:`_inverse_fp`): the node differences of an interpolation, the
 denominators of a Fraction matrix.
 
-Subspaces of a graded piece are stored as reduced-row-echelon bases in the
-canonical monomial coordinates, so equality of subspaces is equality of
-their basis matrices.  Inside, a kernel mod p is the basis that is the
-identity on the free columns, from one elimination
-(:func:`pivot_kernel_fp`).  In both fields a published kernel
+A subspace of a graded piece is its reduced-row-echelon rows in the
+canonical monomial coordinates: the row count is its dimension, and
+equality of subspaces is equality of those rows.  Inside, a kernel mod p
+is the basis that is the identity on the free columns, from one
+elimination (:func:`pivot_kernel_fp`).  In both fields a published kernel
 (:func:`kernel_fp`, :func:`kernel_q`) takes right-greedy pivots, which
 make that basis RREF as it comes; ``hilbert.square_perp_basis`` reduces
 its basis to RREF once, where it is published.
@@ -62,7 +62,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -693,15 +692,6 @@ def kernel_q(mat):
 # -- one field switch -------------------------------------------------------
 
 
-def rref(mat, p: int | None = None):
-    """(reduced rows as a list, rank, pivot columns) over F_p, or over Q
-    when p is None."""
-    if p is None:
-        return rref_q(mat)
-    red, rank, pivots = rref_fp(mat, p)
-    return red.tolist(), rank, pivots
-
-
 def rank(mat, p: int | None = None) -> int:
     return rank_q(mat) if p is None else rank_fp(mat, p)
 
@@ -710,46 +700,6 @@ def kernel(mat, p: int | None = None) -> list:
     """RREF-canonical right-kernel basis as a list of rows: ints mod p,
     Fractions over Q."""
     return kernel_q(mat) if p is None else kernel_fp(mat, p).tolist()
-
-
-# -- subspaces ------------------------------------------------------------
-
-
-@dataclass
-class SubspaceBasis:
-    """RREF basis of a subspace of one graded piece, in monomial coordinates.
-
-    ``rows`` is a list of coefficient rows (Fractions over Q, ints mod p);
-    row count equals the dimension.  The dataclass equality compares the
-    ambient and the rows, which for canonical bases is subspace equality.
-    """
-
-    ring: str
-    degree: int
-    n_vars: int
-    ncols: int
-    p: int | None = None
-    rows: list = field(default_factory=list)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, vector) -> bool:
-        """Membership test for one coefficient row; exact, no tolerance."""
-        grown = span(list(self.rows) + [list(vector)], self.ring, self.degree,
-                     self.n_vars, self.ncols, self.p)
-        return grown.dim == self.dim
-
-
-def span(vectors, ring: str, degree: int, n_vars: int, ncols: int,
-         p: int | None = None) -> SubspaceBasis:
-    """Canonical basis of the span of the given coefficient rows."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return SubspaceBasis(ring, degree, n_vars, ncols, p, [])
-    red, rank, _ = rref(vectors, p)
-    return SubspaceBasis(ring, degree, n_vars, ncols, p, red[:rank])
 
 
 # -- univariate interpolation and roots -----------------------------------

@@ -487,43 +487,6 @@ def substitute_shift(sigma: Poly, w: Iterable[Scalar]) -> Poly:
     return Poly("S", sigma.n, out)
 
 
-def change_of_basis(F: Poly, g) -> Poly:
-    """Apply an invertible linear change of variables to a P polynomial.
-
-    The variable x_i is sent to the linear form sum_j g[j][i] x_j, and a
-    monomial x^a maps to the divided-power product of the powers
-    waring_power(column_i, a_i).  With this normalization plain monomial
-    substitution is recovered for diagonal and permutation matrices, the
-    map is a group action ((gh)·F = g·(h·F)), and the contraction pairing
-    transforms equivariantly, so catalecticant ranks are preserved.
-
-    Raises:
-        ValueError: if g is not square of the right size or is singular.
-    """
-    if F.ring != "P":
-        raise ValueError("change_of_basis acts on the P ring")
-    rows = [list(r) for r in g]
-    if len(rows) != F.n or any(len(r) != F.n for r in rows):
-        raise ValueError("matrix must be %d x %d" % (F.n, F.n))
-    from .linalg import rank  # linalg imports this module
-
-    if rank(rows) < F.n:
-        raise ValueError("singular change of basis")
-    cols = [[rows[j][i] for j in range(F.n)] for i in range(F.n)]
-    out = Poly.zero("P", F.n)
-    for expo, coeff in F.terms.items():
-        piece = None
-        for i, e in enumerate(expo):
-            if not e:
-                continue
-            factor = waring_power(cols[i], e)
-            piece = factor if piece is None else dp_mul(piece, factor)
-        if piece is None:  # constant term
-            piece = Poly("P", F.n, {tuple([0] * F.n): 1})
-        out = out + piece.scale(coeff)
-    return out
-
-
 def coefficient_vector(f: Poly, degree: int) -> list[Scalar]:
     """Coefficients of the degree-d part on the canonical monomial list."""
     idx = monomial_index(f.n, degree)

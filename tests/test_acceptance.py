@@ -47,7 +47,13 @@ from apolar.poly import (
     poly_from_vector,
     substitute_shift,
 )
-from support import fiber_equivalence, fiber_point, le_vector
+from support import (
+    fiber_equivalence,
+    fiber_point,
+    in_span,
+    le_vector,
+    span_rows,
+)
 
 P1 = 67108859
 P2 = 67108837
@@ -91,18 +97,16 @@ def _pencil_sections():
 
 
 def _ann_quadrics(F, p):
-    basis = ann_degree(F, 2, p)
     return [poly_from_vector([int(c) for c in row], "S", 6, 2)
-            for row in basis.rows]
+            for row in ann_degree(F, 2, p)]
 
 
 def _ann_quadrics_q(F):
-    basis = ann_degree(F, 2)
-    return [poly_from_vector(list(row), "S", 6, 2) for row in basis.rows]
+    return [poly_from_vector(list(row), "S", 6, 2) for row in ann_degree(F, 2)]
 
 
 def _slice_span(gens):
-    return linalg.span([le_vector(g, 4) for g in gens], "S", 4, 6, 210, P1)
+    return span_rows([le_vector(g, 4) for g in gens], P1)
 
 
 def test_criterion_01_fixture_values():
@@ -150,10 +154,10 @@ def test_criterion_03_fixed_space_containment():
         u, v = rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4)
         G = F1.scale(u) + F2.scale(v)
         basis = ann_degree(G, 2)
-        assert basis.dim == 15
+        assert len(basis) == 15
         for a, b in sections:
             value = b.scale(v) if a is None else a.scale(u) + b.scale(v)
-            assert basis.contains(coefficient_vector(value, 2))
+            assert in_span(basis, coefficient_vector(value, 2))
 
 
 def test_criterion_04_grassmannian_sections():
@@ -165,8 +169,8 @@ def test_criterion_04_grassmannian_sections():
         except ValueError:
             continue
         report = analyze(sample.cubic, primes=[P1, P2])
-        span = linalg.span([coefficient_vector(q, 2) for q in sample.quadrics],
-                           "S", 2, 6, 21, P1)
+        span = span_rows([coefficient_vector(q, 2) for q in sample.quadrics],
+                         P1)
         ok = (report.hf == (1, 6, 6, 1)
               and report.dim_I2 == 15
               and ann_degree(sample.cubic, 2, P1) == span
@@ -238,7 +242,7 @@ def test_criterion_08_macaulay_cubes_example():
     assert hilbert_function(F) == (1, 6, 6, 1)
 
     basis = ann_degree(F, 2)
-    assert basis.dim == 15
+    assert len(basis) == 15
     for i in range(6):
         for j in range(6):
             if i == j:
@@ -248,7 +252,7 @@ def test_criterion_08_macaulay_cubes_example():
             e[j] += 1
             op = Poly.monomial("S", 6, tuple(e))
             assert contract(op, F).is_zero()
-            assert basis.contains(coefficient_vector(op, 2))
+            assert in_span(basis, coefficient_vector(op, 2))
 
     cube_ops = [Poly.monomial("S", 6, tuple(3 if k == i else 0
                                             for k in range(6)))

@@ -35,7 +35,7 @@ from apolar.poly import (
     poly_from_vector,
     substitute_shift,
 )
-from support import fiber_point, graded_parts, le_vector
+from support import fiber_point, graded_parts, le_vector, span_rows
 
 P = 67108859
 
@@ -157,17 +157,20 @@ def test_hilbert_function_is_symmetric_for_random_cubics():
 
 def test_ann_degree_dimensions():
     F = _fixture()
-    assert ann_degree(F, 2, P).dim == 15
-    assert ann_degree(F, 3, P).dim == 55
-    # past the socle the annihilator is everything
-    assert ann_degree(F, 4, P).dim == 126
-    assert ann_degree(F, 2).dim == 15
+    assert len(ann_degree(F, 2, P)) == 15
+    assert len(ann_degree(F, 3, P)) == 55
+    # past the socle the annihilator is everything: the identity rows
+    assert ann_degree(F, 4, P) == np.eye(126, dtype=int).tolist()
+    assert len(ann_degree(F, 2)) == 15
+    # the rows are canonical: their own RREF, in both fields
+    for p in (P, None):
+        rows = ann_degree(F, 2, p)
+        assert span_rows(rows, p) == rows
 
 
 def test_ann_degree_rows_annihilate():
     F = _fixture()
-    A = ann_degree(F, 2, P)
-    for row in A.rows:
+    for row in ann_degree(F, 2, P):
         q = poly_from_vector([int(c) for c in row], "S", 6, 2)
         res = contract(q, F)
         assert all(c % P == 0 for c in res.terms.values())
@@ -203,14 +206,13 @@ def test_dual_socle_generator_inverts_annihilator():
     """Recover the cubic from its 15 quadric annihilators, both fields."""
     F = _fixture()
     for p in (P, None):
-        A = ann_degree(F, 2, p)
-        qs = [poly_from_vector(list(row), "S", 6, 2) for row in A.rows]
+        qs = [poly_from_vector(list(row), "S", 6, 2)
+              for row in ann_degree(F, 2, p)]
         G = dual_socle_generator(qs, p)
         # unique up to scalar; both are normalized forms of the same line
         catF = coefficient_vector(F, 3)
         catG = coefficient_vector(G, 3)
-        sp = linalg.span([catF, catG], "P", 3, 6, 56, p)
-        assert sp.dim == 1
+        assert len(span_rows([catF, catG], p)) == 1
 
 
 def test_dual_socle_generator_degenerate_input():
@@ -250,7 +252,7 @@ def test_translated_apolar_length_is_apolar_length(p):
 
 def _slice_span(gens):
     # span mod P of operators of degree <= 4; Fractions reduce mod P
-    return linalg.span([le_vector(g, 4) for g in gens], "S", 4, 6, 210, P)
+    return span_rows([le_vector(g, 4) for g in gens], P)
 
 
 def test_translated_apolar_round_trip():

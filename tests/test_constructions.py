@@ -7,10 +7,10 @@ import pytest
 
 from apolar.apolarity import apolar_length, hilbert_function, is_nondegenerate_cubic
 from apolar.constructions import (
+    _PAIRS,
     dvap_cubic,
     dvap_identification,
     gr26_section_cubic,
-    pluecker_pairs,
     pluecker_quadrics,
     random_cubic,
     random_ternary_sextic,
@@ -30,6 +30,12 @@ from apolar.poly import (
 from support import fiber_point
 
 P = 67108859
+
+
+def pluecker_pairs() -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, naming the 15 pair coordinates, in the
+    order of the variables of :func:`pluecker_quadrics`."""
+    return list(_PAIRS)
 
 
 def test_pluecker_pairs_enumeration():

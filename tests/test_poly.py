@@ -8,7 +8,6 @@ import pytest
 from apolar.linalg import rref_q
 from apolar.poly import (
     Poly,
-    change_of_basis,
     coefficient_vector,
     contract,
     dim_degree,
@@ -26,7 +25,7 @@ from apolar.poly import (
     waring_cube,
     waring_power,
 )
-from support import graded_parts
+from support import change_of_basis, graded_parts
 
 
 def _x(i, n=6):
