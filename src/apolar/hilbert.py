@@ -245,15 +245,15 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> list:
     span of the x_j (dp-times) v over the rows v of the degree-(d - 1)
     perp; that needs d and the multiplicities m_j + 1 <= d of
     :func:`_witness_rows` invertible mod p.  The search space is that
-    span in RREF, or all of P_4 in degree 4; an empty perp one degree down
-    gives the empty perp at once.  :func:`_cut_space` cuts the perp out
-    of the space, reduced to RREF once, where it is published.
+    span in RREF, or all of P_4 in degree 4 (None, no identity matrix is
+    formed); an empty perp one degree down gives the empty perp at once.
+    :func:`_cut_space` cuts the perp out of the space, reduced to RREF
+    once, where it is published.
     """
     if d not in slices.perps:
         n, p, dim_d = F.n, slices.p, dim_degree(F.n, d)
-        if d == 4:
-            space = np.eye(dim_d, dtype=np.int64)
-        else:
+        space = None
+        if d > 4:
             prev = _perp_fp(F, d - 1, slices)
             if not prev:
                 slices.perps[d] = []
@@ -267,45 +267,56 @@ def _perp_fp(F: Poly, d: int, slices: _Slices) -> list:
     return slices.perps[d]
 
 
-def _cut_space(space: np.ndarray, d: int, slices: _Slices) -> np.ndarray:
+def _cut_space(space: np.ndarray | None, d: int,
+               slices: _Slices) -> np.ndarray:
     """A basis (unreduced) of the vectors in the span of ``space`` (rows
-    mod p) that pair to zero with the product blocks of degree d.
+    mod p, or None for all of P_d) that pair to zero with the product
+    blocks of degree d.
 
     For each degree pair (a, b) the lower-slice rows are read in chunks:
     ceil(k / n_b) rows first (k vectors left, n_b products per row), then
     twice as many each time.  A chunk's nonzero pairings with the space
     left (:func:`_pair_rows`) cut the space to their kernel, until it is
-    empty or the rows run out."""
+    empty or the rows run out; on all of P_d that kernel is the space
+    left.  The pairings are fresh reduced residues, so the nonzero rows
+    go to the elimination as they are (:func:`linalg._pivot_kernel`)."""
     n, p = slices.F.n, slices.p
     for a, b in _degree_pairs(d):
         rows = len(slices(a))
         n_b = dim_degree(n, b) if b > 3 else len(slices(b))
-        start, size = 0, -(-len(space) // n_b)
-        while len(space) and start < rows:
+        k = dim_degree(n, d) if space is None else len(space)
+        start, size = 0, -(-k // n_b)
+        while k and start < rows:
             stop = min(start + size, rows)
             pairs = _pair_rows(space, a, b, slices, start, stop)
-            kern = linalg.pivot_kernel_fp(pairs[pairs.any(axis=1)], p)[2]
-            space = linalg.matmul_fp(kern, space, p)
-            start, size = stop, 2 * size
+            kern = linalg._pivot_kernel(pairs[pairs.any(axis=1)], p)[2]
+            space = kern if space is None else linalg.matmul_fp(kern, space, p)
+            k, start, size = len(space), stop, 2 * size
     return space
 
 
-def _pair_rows(vecs: np.ndarray, a: int, b: int, slices: _Slices,
+def _pair_rows(vecs: np.ndarray | None, a: int, b: int, slices: _Slices,
                start: int = 0, stop: int | None = None) -> np.ndarray:
     """The pairing <x y, v> mod p of the products x y of the rows
     ``start:stop`` of the degree-a slice with the degree-b slice (all of
     S_b above the cubic's degree) with every row v of ``vecs``: one row
-    per distinct product, one column per v.
+    per distinct product, one column per v, as a fresh array of residues.
 
     <x y, v> = x . C_v . y, with C_v the catalecticant gather of v, so no
-    product block is formed.  For a = b, x_i x_j = x_j x_i, so only the
-    slice rows i <= j are kept, in the row order of
+    product block is formed.  With ``vecs`` None (all of P_{a+b}, one
+    monomial per column) the pairings are the product coefficients, from
+    one scatter (``apolarity._products``).  For a = b, x_i x_j = x_j x_i,
+    so only the slice rows i <= j are kept, in the row order of
     :func:`ev_product_matrix`; the rows run over x first, then y."""
     n, p = slices.F.n, slices.p
     lower = slices(a)[start:stop]
-    pair = linalg.matmul_fp(lower, vecs[:, shift_table(n, a, b)], p)
-    if b <= 3:
-        pair = linalg.matmul_fp(pair, slices(b).T, p)
+    upper = slices(b) if b <= 3 else None
+    if vecs is None:
+        pair = np.moveaxis(_products(lower, upper, a, b, n), 2, 0) % p
+    else:
+        pair = linalg.matmul_fp(lower, vecs[:, shift_table(n, a, b)], p)
+        if upper is not None:
+            pair = linalg.matmul_fp(pair, upper.T, p)
     first = np.arange(start, start + len(lower))[:, None]
     return pair[:, (first <= np.arange(pair.shape[2])) | (a != b)].T
 

@@ -26,10 +26,12 @@ first (:func:`_solver_primes`), which also gives ``hilbert``'s
 certificate primes; working primes are drawn at random
 (:func:`random_prime`).
 
-The Gauss-Jordan body reduces mod p at every step (word-size prime
-fields, Dumas-Giorgi-Pernet 2008): it jumps over runs of columns that
-are empty below the current row with one scan, and updates only the rows
-with a nonzero factor, in place on their gathered block.  It also
+The Gauss-Jordan body delays reduction mod p (word-size prime fields,
+Dumas-Giorgi-Pernet 2008): an update that reaches more than half the
+rows runs on the whole array and is left unreduced, up to ``_DELAY`` of
+them, while fewer rows are gathered, updated and reduced at once.  It
+jumps over runs of columns that are empty below the current row with one
+scan of the reduced array.  It also
 returns d = det M[:, pivots] for independent rows, the signed product of
 the pivots; :func:`det_fp` reads it, tested against an integer Bareiss
 reference in the tests.  :func:`pivot_kernel_fp` adds the kernel that is
@@ -69,6 +71,9 @@ import numpy as np
 from .poly import is_prime
 
 _MAX_PRIME = 1 << 26  # keeps k * p^2 < 2^63 for shared dimensions up to 2^11
+# unreduced dense updates an int64 entry of _rref holds: each one
+# subtracts less than _MAX_PRIME^2, and this many stay below 2^62
+_DELAY = 2 ** 62 // _MAX_PRIME ** 2
 
 
 def _exact_array(mat) -> tuple[np.ndarray, bool]:
@@ -170,42 +175,62 @@ def _rref(m: np.ndarray, p: int):
     rows of M are independent, and 0 otherwise: the product of the pivots
     before each row is normalized, its sign flipped at each row swap.
 
-    A run of columns with nothing left at or below the current row is
-    jumped over by one scan of the remaining block.  The factors of a
-    pivot come from one copy of its column, and only the rows with a
-    nonzero factor are updated, in place on their gathered block.
+    One nonzero scan of the pivot column gives the pivot row (the first
+    at or below the current row) and the rows to update.  When more than
+    half the rows need the update, it runs in place on the whole
+    ``m[:, c:]`` and is not reduced: it subtracts less than (p - 1)^2,
+    below 2^52 for p < ``_MAX_PRIME``, so ``_DELAY`` = 1024 of them on a
+    residue stay exact in int64.  Fewer rows are gathered, updated and
+    reduced at once, as a very sparse matrix needs.  While unreduced
+    updates are pending, the pivot column is reduced before it is read
+    as factors and the pivot row before it is normalized; the whole array
+    is reduced after ``_DELAY`` of them, before a jump scan and once at
+    the end.  A run of columns with nothing left at or below the current
+    row is jumped over by one scan of the remaining block.
     """
     nrows, ncols = m.shape
     pivots: list[int] = []
     order = list(range(nrows))
-    r, c, d = 0, 0, 1
+    r, c, d, pending = 0, 0, 1, 0  # pending: unreduced dense updates
     while r < nrows and c < ncols:
-        nz = m[r:, c].nonzero()[0]
-        if nz.size == 0:
+        f = m[:, c] % p if pending else m[:, c].copy()
+        nz = f.nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
+            if pending:
+                np.remainder(m, p, out=m)
+                pending = 0
             live = m[r:, c + 1:].any(axis=0).nonzero()[0]
             if live.size == 0:
                 break
             c += 1 + int(live[0])
             continue
-        i = r + int(nz[0])
+        # the pivot row, and after a swap row r moved to i, take no update
+        i = int(nz[k])
+        pivot = int(f[i])
+        f[i] = 0
         if i != r:
             m[[r, i]] = m[[i, r]]
             order[r], order[i] = order[i], order[r]
             d = -d
-        f = m[:, c].copy()
-        pivot = int(f[r])
         d = d * pivot % p
-        prow = m[r, c:] * pow(pivot, p - 2, p) % p
+        prow = (m[r, c:] % p if pending else m[r, c:]) * pow(pivot, -1, p) % p
         m[r, c:] = prow
-        f[r] = 0
-        rows = f.nonzero()[0]
-        if rows.size:
-            blk = m[rows, c:]
-            blk -= np.multiply.outer(f[rows], prow)
+        if 2 * (nz.size - 1) > nrows:
+            m[:, c:] -= np.multiply.outer(f, prow)
+            pending += 1
+            if pending == _DELAY:
+                np.remainder(m, p, out=m)
+                pending = 0
+        elif nz.size > 1:
+            blk = m[nz, c:]
+            blk -= np.multiply.outer(f[nz], prow)
             np.remainder(blk, p, out=blk)
-            m[rows, c:] = blk
+            m[nz, c:] = blk
         pivots.append(c)
         r, c = r + 1, c + 1
+    if pending:
+        np.remainder(m, p, out=m)
     return m, r, pivots, order[:r], d if r == nrows else 0
 
 
@@ -218,7 +243,13 @@ def pivot_kernel_fp(mat, p: int):
     row per free column, in increasing order; not RREF).  The input is
     not modified.
     """
-    m = field_array(mat, p)
+    return _pivot_kernel(field_array(mat, p), p)
+
+
+def _pivot_kernel(m: np.ndarray, p: int):
+    """:func:`pivot_kernel_fp` of a working array (2-D int64 residues mod
+    p) that the caller owns: it is eliminated in place, not copied or
+    reduced again."""
     red, rank, pivots, _, d = _rref(m, p)
     free = np.ones(m.shape[1], dtype=bool)
     free[pivots] = False

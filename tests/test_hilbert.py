@@ -622,18 +622,45 @@ def test_perp_mod_p_matches_the_block_chain():
 def test_degree4_pairings_are_the_ev_product_matrix(make):
     # paired with all of P_4, the distinct products of the I_2 rows are
     # the 120 x 126 product matrix, in its row order; a chunk of I_2 rows
-    # gives the rows of the products whose first factor is in the chunk
+    # gives the rows of the products whose first factor is in the chunk.
+    # All of P_4 is the identity, or None: the product coefficients
     F = make()
     qs = [poly_from_vector(r, "S", 6, 2) for r in ann_degree(F, 2, P)]
     slices = hilbert._checked_slices(hilbert._Slices(F, P))
-    eye = np.eye(126, dtype=np.int64)
-    pairs = hilbert._pair_rows(eye, 2, 2, slices)
-    assert pairs.shape == (120, 126)
-    assert pairs.tolist() == ev_product_matrix(qs, F, P).tolist()
+    want = ev_product_matrix(qs, F, P).tolist()
     first = np.triu_indices(15)[0]
-    for start, stop in ((0, 1), (3, 7), (9, 15), (14, 15)):
-        assert hilbert._pair_rows(eye, 2, 2, slices, start, stop).tolist() \
-            == pairs[(first >= start) & (first < stop)].tolist()
+    for full in (np.eye(126, dtype=np.int64), None):
+        pairs = hilbert._pair_rows(full, 2, 2, slices)
+        assert pairs.shape == (120, 126)
+        assert pairs.tolist() == want
+        for start, stop in ((0, 1), (0, 9), (3, 7), (9, 15), (14, 15)):
+            chunk = hilbert._pair_rows(full, 2, 2, slices, start, stop)
+            assert chunk.tolist() == \
+                pairs[(first >= start) & (first < stop)].tolist()
+
+
+@pytest.mark.parametrize("make", [lambda: random_cubic(0),
+                                  lambda: waring_sum(9, 0)[0]],
+                         ids=["random", "waring9"])
+def test_degree4_cut_multiplies_only_after_its_first_chunk(monkeypatch,
+                                                            make):
+    # the first degree-4 chunk pairs with all of P_4 as product
+    # coefficients, and its kernel is the space: no matmul_fp.  Each later
+    # chunk takes three, two for its pairings and one for kern @ space.
+    # Pairing the first chunk with an identity took three more
+    F = make()
+    slices = hilbert._checked_slices(hilbert._Slices(F, P))
+    slices(2)
+    counts = {"matmul_fp": 0, "_pair_rows": 0}
+    for module, name in ((linalg, "matmul_fp"), (hilbert, "_pair_rows")):
+        def counted(*args, _orig=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    square_perp_basis(F, 4, P, slices)
+    assert counts["_pair_rows"] >= 2
+    assert counts["matmul_fp"] == 3 * (counts["_pair_rows"] - 1)
 
 
 _CUT_CUBICS = {"random": lambda: random_cubic(0),
@@ -743,9 +770,9 @@ def test_cut_space_reads_doubling_chunks_until_the_space_is_empty(
     def recorded(vecs, a, b, slices, start, stop):
         out = orig(vecs, a, b, slices, start, stop)
         # the vectors left after this chunk, the search space being
-        # independent
-        calls.append((a, b, start, stop, len(vecs),
-                      len(vecs) - linalg.rref_fp(out, p)[1]))
+        # independent; None is all of P_d, 126 monomials in degree 4
+        k = dim_degree(6, a + b) if vecs is None else len(vecs)
+        calls.append((a, b, start, stop, k, k - linalg.rref_fp(out, p)[1]))
         return out
 
     monkeypatch.setattr(hilbert, "_pair_rows", recorded)

@@ -475,6 +475,75 @@ def test_kernel_fp_is_the_rref_of_the_free_column_kernel(case):
     assert not linalg.matmul_fp(mat, kern.T, p).any()
 
 
+def _matches_the_reference(p, mat) -> bool:
+    """All five values of ``_rref`` equal the column-by-column reference."""
+    got = linalg._rref(mat.copy(), p)
+    want = rref_fp_reference(mat.copy(), p)
+    return np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+@st.composite
+def dense_elimination_inputs(draw):
+    """(P, M) up to 80 x 100 at the prime just below 2^26, dense enough
+    that most updates run unreduced on the whole array: a run of columns
+    in the span of the columns before it (0 mod P below the rows those
+    eliminate, but not 0 as stored until the array is reduced) and rows
+    that combine earlier ones."""
+    nrows, ncols = draw(st.integers(13, 80)), draw(st.integers(13, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from([0.6, 1.0]))
+    mat = rng.integers(1, P, (nrows, ncols)) * (
+        rng.random((nrows, ncols)) < density)
+    k = draw(st.integers(1, min(nrows, ncols) - 1))
+    stop = draw(st.integers(k, ncols))
+    mat[:, k:stop] = linalg.matmul_fp(
+        mat[:, :k], rng.integers(0, P, (k, stop - k)), P)
+    for i in draw(st.lists(st.integers(1, nrows - 1), max_size=4)):
+        mat[i] = rng.integers(0, P, i) @ mat[:i] % P
+    return P, mat
+
+
+def _zero_columns_after_dense_updates():
+    """Columns 10..14 in the span of columns 0..9: after ten dense updates
+    they are 0 mod P below row 10 but not 0 as stored, so the jump scan
+    must read them reduced to land on column 15."""
+    rng = np.random.default_rng(5)
+    a = rng.integers(1, P, (40, 10))
+    return np.hstack([a, linalg.matmul_fp(a, rng.integers(0, P, (10, 5)), P),
+                      rng.integers(1, P, (40, 25))])
+
+
+def _p_minus_1(diagonal):
+    full = np.full((80, 100), P - 1, dtype=np.int64)
+    if diagonal is not None:
+        np.fill_diagonal(full, diagonal)
+    return full
+
+
+@pytest.mark.parametrize("delay", [linalg._DELAY, 1],
+                         ids=["delayed", "reduced-every-update"])
+@settings(max_examples=25, deadline=None)
+@given(dense_elimination_inputs())
+@example((P, _zero_columns_after_dense_updates()))
+@example((P, _p_minus_1(None)))
+# 1 on the diagonal: the first update subtracts (P - 1)^2 from every entry
+@example((P, _p_minus_1(1)))
+def test_dense_rref_matches_the_column_by_column_reference(delay, case):
+    # with the constant at 1 the periodic reduction runs after every
+    # unreduced update
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_DELAY", delay)
+        assert _matches_the_reference(*case)
+
+
+def test_unreduced_updates_fit_int64():
+    # _DELAY updates below (p - 1)^2 on a residue below p, for every
+    # prime the modular code takes
+    top = linalg._MAX_PRIME - 1
+    assert linalg._DELAY == 1024
+    assert linalg._DELAY * top ** 2 + top < 2 ** 63
+
+
 charpoly_cases = st.tuples(st.sampled_from([SMALL_P, P]),
                            st.integers(0, 24)).flatmap(
     lambda pn: st.tuples(
