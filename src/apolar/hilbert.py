@@ -568,13 +568,9 @@ def pencil_family(F1: Poly, F2: Poly, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chart_columns(chart: tuple, n: int) -> list[int]:
-    idx4 = monomial_index(n, 4)
-    cols = []
-    for i in range(n):
-        e = list(chart)
-        e[i] += 1
-        cols.append(idx4[tuple(e)])
-    return cols
+    """The degree-4 positions of x_i times the chart's cubic monomial,
+    i = 0..n-1: its column of :func:`apolarity.shift_table`."""
+    return shift_table(n, 1, 3)[:, monomial_index(n, 3)[tuple(chart)]].tolist()
 
 
 class _PencilData(NamedTuple):

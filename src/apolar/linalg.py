@@ -12,15 +12,19 @@ input contract: ints (Python or numpy) and Fractions, anything else is a
 TypeError.
 
 Over Q, :func:`rref_q`, :func:`kernel_q` and :func:`rank_q` are the three
-entry points into one p-adic solver (Dixon 1982).  Each row is scaled to
-integers; the pivot columns and independent pivot rows come from one
-elimination mod a prime, and X = M[R, P]^-1 M[R, F] is lifted p-adically
-in 26-bit limbs, with vector rational reconstruction (Wang 1981, one
-common denominator) each time the number of p-adic digits doubles.  A
-result leaves the solver only after an exact integer check that M times
-the kernel basis it gives is zero, over all rows; with the rank mod p as
-the lower bound that proves the rank, and an echelon-shape check proves
-the pivots.  An unlucky prime fails a check and the next one is taken.
+entry points into one p-adic solver (Dixon 1982) with one pivot
+orientation.  Each row is scaled to integers; the right-greedy pivot
+columns and independent pivot rows come from one elimination of the
+column-reversed matrix mod a prime, and X = M[R, P]^-1 M[R, F] is lifted
+p-adically in 26-bit limbs, with vector rational reconstruction (Wang
+1981, one common denominator) each time the number of p-adic digits
+doubles.  A result leaves the solver only after an exact integer check
+that M times the kernel basis it gives is zero, over all rows; with the
+rank mod p as the lower bound that proves the rank, and an echelon-shape
+check proves the pivots.  With no free column mod p nothing is lifted:
+the rank is full.  ``kernel_q`` publishes the kernel, ``rank_q`` solves
+the tall one of M and its transpose, and ``rref_q`` is the kernel of the
+kernel.  An unlucky prime fails a check and the next one is taken.
 Its primes come from the one fixed stream of primes below 2^26, largest
 first (:func:`_solver_primes`), which also gives ``hilbert``'s
 certificate primes; working primes are drawn at random
@@ -503,14 +507,6 @@ def _accumulate(acc: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int):
         _carry(acc)
 
 
-def _dot_fp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue arrays of any shared dimension."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], 1024):
-        out = (out + matmul_fp(a[:, s:s + 1024], b[s:s + 1024], p)) % p
-    return out
-
-
 def _padic_value(digits: list, p: int) -> np.ndarray:
     """sum_i digits[i] * p^i in Python ints, combined pairwise."""
     vals, q = [d.astype(object) for d in digits], p
@@ -567,16 +563,17 @@ def _is_kernel(mf: np.ndarray, basis: np.ndarray) -> bool:
     return not acc.any()
 
 
-def _lift(m, mf, mp, rows, pivots, free, p, lower):
+def _lift(m, mf, mp, rows, pivots, free, p):
     """Y = A^-1 B over Q, A = M[rows, pivots] and B = M[rows, free], by
-    Dixon's p-adic lifting mod p.
+    Dixon's p-adic lifting mod p, for at least one free column.
 
     ``mf`` holds the limbs of M (float64) and ``mp`` its residues mod p.
     Returns (d, W) with Y = W / d once it is proved: M times the basis
     with W on the pivot columns and -d I on the free ones is exactly zero,
-    and W vanishes where the boolean mask ``lower`` is set (the echelon
-    shape; ``lower`` is None for no shape).  Returns None when the prime
-    was unlucky: the rank or the greedy pivots of M differ over Q.
+    and W vanishes wherever a free column lies right of a pivot column
+    (the echelon shape of right-greedy pivots).  Returns None when the
+    prime was unlucky: the rank or the right-greedy pivots of M differ
+    over Q.
 
     The residual B - A x stays in 26-bit limbs, so each step is one
     matmul mod p, exact float64 limb matmuls (:func:`_accumulate`) and a
@@ -587,8 +584,7 @@ def _lift(m, mf, mp, rows, pivots, free, p, lower):
     exact Y.
     """
     r, k = len(pivots), len(free)
-    if not k:
-        return 1, np.zeros((r, 0), dtype=object)
+    off_shape = np.array(free)[None, :] > np.array(pivots)[:, None]
     top = m[rows]
     al = mf[:, rows][:, :, pivots]
     # Hadamard: |det A| <= prod of the column norms =: H, and Cramer's
@@ -609,7 +605,7 @@ def _lift(m, mf, mp, rows, pivots, free, p, lower):
         v = res[-1] % p
         for j in range(len(res) - 2, -1, -1):
             v = (v * shift + res[j]) % p
-        y = _dot_fp(inverse, v, p)
+        y = matmul_fp(inverse, v, p)
         digits.append(y)
         _accumulate(res, al, y[None], -1)
         for j in range(len(res) - 1, 0, -1):
@@ -630,46 +626,38 @@ def _lift(m, mf, mp, rows, pivots, free, p, lower):
             basis[pivots] = w
             basis[free, range(k)] = -d
             if _is_kernel(mf, basis):
-                shaped = lower is None or not w[lower].any()
-                return (d, w) if shaped else None
+                return None if w[off_shape].any() else (d, w)
         if steps >= k_max:
             return None
         target = k_max - steps if cand is not None else \
             min(steps, k_max - steps)
 
 
-def _solve(m: np.ndarray, right: bool = False, shaped: bool = True):
+def _solve(m: np.ndarray):
     """The verified solve behind the rational entry points.
 
-    Takes pivot columns mod each prime of :func:`_solver_primes` in turn
-    (left-greedy, or right-greedy on the column-reversed matrix when
-    ``right``), with independent pivot rows, and lifts the solve over Q
-    (:func:`_lift`).  With ``shaped`` the solution must have the echelon
-    shape of those pivots, which makes them the greedy pivots over Q.
-    Returns (rank, pivots, free columns, d, W).  Without ``shaped`` (the
-    rank alone) a mod-p rank of min(m, n) is proved already, and W is
-    then None.
+    Takes the right-greedy pivot columns of M mod each prime of
+    :func:`_solver_primes` in turn, from one elimination of the
+    column-reversed matrix, with independent pivot rows.  Returns
+    (pivots, free columns, d, W), the kernel basis with -W / d on the
+    pivot columns that is the identity on the free ones.  With no free
+    column mod p the rank is full, proved by reduction, which never
+    raises a rank, and W is empty; otherwise :func:`_lift` proves the
+    kernel, and its echelon-shape check proves the pivots.
     """
-    nrows, ncols = m.shape
+    ncols = m.shape[1]
     mf = None
     for p in _solver_primes():
         mp = (m % p).astype(np.int64)
-        work = mp[:, ::-1].copy() if right else mp.copy()
-        _, rank, pivots, rows, _ = _rref(work, p)
-        if right:
-            pivots = sorted(ncols - 1 - c for c in pivots)
-        is_pivot = set(pivots)
-        free = [c for c in range(ncols) if c not in is_pivot]
-        if not shaped and rank == min(nrows, ncols):
-            return rank, pivots, free, 1, None
+        _, _, rev, rows, _ = _rref(mp[:, ::-1].copy(), p)
+        pivots = sorted(ncols - 1 - c for c in rev)
+        free = sorted(set(range(ncols)).difference(pivots))
+        if not free:
+            return pivots, free, 1, np.zeros((len(pivots), 0), dtype=object)
         mf = _limbs(m).astype(np.float64) if mf is None else mf
-        lower = None
-        if shaped:
-            piv, fr = np.array(pivots)[:, None], np.array(free)[None, :]
-            lower = (fr > piv) if right else (fr < piv)
-        found = _lift(m, mf, mp, rows, pivots, free, p, lower)
+        found = _lift(m, mf, mp, rows, pivots, free, p)
         if found is not None:
-            return (rank, pivots, free) + found
+            return (pivots, free) + found
     raise AssertionError("unreachable: the primes do not run out")
 
 
@@ -689,24 +677,28 @@ def _kernel_rows(ncols, pivots, free, d, w) -> list:
 
 def rref_q(mat):
     """Reduced row echelon form over Q: (list of Fraction rows, rank,
-    pivot column list), one row per input row, zero rows last."""
+    pivot column list), one row per input row, zero rows last.
+
+    The row space is the kernel of the kernel, and a kernel from
+    :func:`kernel_q` is RREF as it comes, its pivots the leading 1s of
+    its rows; both solves are verified.  No package code calls it; the
+    benchmark tracer binds it and the tests use it.
+    """
     m = integer_rows(mat)
-    rank, pivots, free, d, w = _solve(m)
-    rows = [[_ZERO] * m.shape[1] for _ in range(m.shape[0])]
-    w = w.tolist()
-    for i, c in enumerate(pivots):
-        rows[i][c] = _ONE
-        for j, f in enumerate(free):
-            if w[i][j]:
-                rows[i][f] = Fraction(w[i][j], d)
-    return rows, rank, pivots
+    kern = kernel_q(m)
+    rows = kernel_q(np.array(kern, dtype=object).reshape(len(kern),
+                                                         m.shape[1]))
+    pivots = [row.index(_ONE) for row in rows]
+    zeros = [[_ZERO] * m.shape[1] for _ in range(m.shape[0] - len(rows))]
+    return rows + zeros, len(rows), pivots
 
 
 def rank_q(mat) -> int:
-    """Rank over Q: the mod-p rank, proved by a verified kernel of the
-    matrix or of its transpose, whichever is smaller, unless it is full."""
+    """Rank over Q from the verified solve of the matrix or of its
+    transpose, whichever is tall: its kernel is the smaller one, and a
+    full rank mod p is proved without a lift."""
     m = integer_rows(mat)
-    return _solve(m.T if m.shape[0] < m.shape[1] else m, shaped=False)[0]
+    return len(_solve(m.T if m.shape[0] < m.shape[1] else m)[0])
 
 
 def kernel_q(mat):
@@ -716,7 +708,7 @@ def kernel_q(mat):
     free columns is already the RREF of the kernel (matroid duality); the
     echelon-shape check proves it."""
     m = integer_rows(mat)
-    _, pivots, free, d, w = _solve(m, right=True)
+    pivots, free, d, w = _solve(m)
     return _kernel_rows(m.shape[1], pivots, free, d, w.tolist())
 
 
@@ -803,8 +795,6 @@ def poly_divmod_fp(a: list, b: list, p: int):
     quot = [0] * max(0, len(a) - len(b) + 1)
     rem = list(a)
     for k in range(len(quot) - 1, -1, -1):
-        if len(rem) < len(b) + k:
-            continue
         c = rem[len(b) + k - 1] * inv % p
         quot[k] = c
         if c:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from apolar import linalg
+from apolar import hilbert, linalg
+from apolar.constructions import waring_sum
 from fraction_reference import (
     det_bareiss,
     free_kernel_reference,
@@ -193,16 +194,19 @@ def _spy_primes(monkeypatch, first):
 
 
 def test_a_prime_dividing_a_pivot_minor_is_skipped(monkeypatch):
-    mat = [[1, 2], [3, 13]]  # determinant 7
+    mat = [[1, 2, 0], [3, 13, 0]]  # det M[:, :2] = 7; column 2 stays free
     assert linalg.rank_fp(mat, 7) == 1
     tried = _spy_primes(monkeypatch, 7)
     assert linalg.rank_q(mat) == 2
     assert tried == [(7, False)]  # rank 2 mod P is full: no lift
-    for call, want in ((linalg.kernel_q, []),
-                       (linalg.rref_q, rref_reference(mat))):
-        tried.clear()
-        assert call(mat) == want
-        assert tried == [(7, False), (P, True)]
+    tried.clear()
+    assert linalg.kernel_q(mat) == kernel_reference(mat)
+    assert tried == [(7, False), (P, True)]
+    # rref_q solves twice: M's kernel refuses 7, and the second solve,
+    # on the kernel row (0, 0, 1), is lifted at 7
+    tried.clear()
+    assert linalg.rref_q(mat) == rref_reference(mat)
+    assert tried == [(7, False), (P, True), (7, True)]
 
 
 def test_a_prime_that_moves_the_greedy_pivots_is_skipped(monkeypatch):
@@ -210,7 +214,27 @@ def test_a_prime_that_moves_the_greedy_pivots_is_skipped(monkeypatch):
     assert linalg.rref_fp(mat, 7)[2] == [0, 2]
     tried = _spy_primes(monkeypatch, 7)
     assert linalg.rref_q(mat) == rref_reference(mat)
-    assert tried == [(7, False), (P, True)]
+    # M's kernel (1, -1, 7) is right at 7; its own right-greedy pivot,
+    # column 2 over Q, is column 1 mod 7, so the second solve refuses 7
+    assert tried == [(7, True), (7, False), (P, True)]
+
+
+def test_rank_q_lifts_the_degree4_products_in_few_digits(monkeypatch):
+    # right-greedy pivots on the transpose of the 120 x 126 products of
+    # waring_sum(6, 0) need 32 p-adic digits; left-greedy ones need 128
+    F = waring_sum(6, 0)[0]
+    slices = hilbert._checked_slices(hilbert._Slices(F, None))
+    mat = np.vstack(list(hilbert._product_blocks(4, slices)))
+    lifted = []
+    padic_value = linalg._padic_value
+
+    def counting(digits, p):
+        lifted.append(len(digits))
+        return padic_value(digits, p)
+
+    monkeypatch.setattr(linalg, "_padic_value", counting)
+    assert linalg.rank_q(mat) == 90
+    assert 0 < sum(lifted) <= 32
 
 
 def test_a_prime_that_breaks_the_kernel_shape_is_skipped(monkeypatch):
